@@ -25,7 +25,7 @@ from .wordcrystal import (EmbeddingReport, IndexOutOfRange, lowering_operator,
                           raising_operator, verify_embedding)
 from .lr import (BijectionReport, ConjectureReport, CountTriple, LRInstance,
                  NotAPicture, NotLRCrystal, RankTooSmall, SizeSummary, SweepReport,
-                 conjecture_experiment, conjecture_sweep, decompose_tensor,
+                 conjecture_experiment, conjecture_rows, conjecture_sweep, decompose_tensor,
                  instances_of_size, iter_instances, lemma_add_check,
                  lemma_destination_check, lr_coefficient_all_methods,
                  lr_coefficient_lattice, lr_filter, phi, psi, sweep,
@@ -40,7 +40,7 @@ __all__ = [
     "Picture", "RankTooSmall", "RowNotWeaklyIncreasing", "ShapeMismatch",
     "SizeMismatch", "SizeSummary", "SkewShape", "SweepReport", "Tableau",
     "TotalOrder", "Word", "add_box", "add_sequence", "cells",
-    "conjecture_experiment", "conjecture_sweep", "decompose_tensor",
+    "conjecture_experiment", "conjecture_rows", "conjecture_sweep", "decompose_tensor",
     "enumerate_admissible_orders", "enumerate_pictures", "enumerate_ssyt",
     "far_eastern_reading", "instances_of_size", "is_admissible_order",
     "is_picture", "is_standard", "iter_instances", "lemma_add_check",

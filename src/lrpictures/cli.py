@@ -18,9 +18,8 @@ import json
 import sys
 from typing import Callable, Sequence
 
-from .lr import (LRInstance, conjecture_experiment, conjecture_sweep,
-                 decompose_tensor, lr_coefficient_all_methods, lr_filter, phi, psi,
-                 sweep, verify_bijection)
+from .lr import (LRInstance, conjecture_rows, conjecture_sweep, decompose_tensor,
+                 lr_coefficient_all_methods, lr_filter, phi, psi, sweep, verify_bijection)
 from .pictures import Picture, TotalOrder, enumerate_admissible_orders, enumerate_pictures
 from .shapes import Partition, cells
 from .tableaux import Tableau
@@ -48,7 +47,7 @@ def resolve_order(name: str, cell_set: tuple) -> TotalOrder:
         return TotalOrder.eff(cell_set)
     if name.startswith("index:"):
         tail = name[len("index:"):]
-        if not tail.isdigit():
+        if not tail.isdecimal():
             raise ValueError(f"bad order index {tail!r}: expected index:<k> with k a nonnegative integer")
         k = int(tail)
         orders = enumerate_admissible_orders(cell_set)
@@ -79,11 +78,16 @@ def _yn(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def _order_label(order: TotalOrder, cell_set: tuple) -> str:
-    index = enumerate_admissible_orders(cell_set).index(order)
-    tags = [tag for tag, ref in (("jay", TotalOrder.jay(cell_set)),
+def _order_tags(order: TotalOrder, cell_set: tuple) -> list[str]:
+    """Which of the two reading orders, jay and eff, the order equals."""
+    return [tag for tag, ref in (("jay", TotalOrder.jay(cell_set)),
                                  ("eff", TotalOrder.eff(cell_set)))
             if order == ref]
+
+
+def _order_label(order: TotalOrder, cell_set: tuple) -> str:
+    index = enumerate_admissible_orders(cell_set).index(order)
+    tags = _order_tags(order, cell_set)
     return f"{index}:{'+'.join(tags)}" if tags else str(index)
 
 
@@ -104,6 +108,15 @@ def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
+def _emit_listing(args: argparse.Namespace, inst: LRInstance, key: str, items: Sequence,
+                  to_json: Callable, to_text: Callable, sep: str = "\n") -> None:
+    """JSON {"instance", key: [to_json(item), ...]}, or the items' text joined by sep."""
+    if args.format == "json":
+        _emit_json({"instance": inst.to_json(), key: [to_json(item) for item in items]})
+    elif items:
+        print(sep.join(to_text(item) for item in items))
+
+
 def _cmd_count(args: argparse.Namespace) -> int:
     inst = _instance(args)
     triple = lr_coefficient_all_methods(inst)
@@ -121,12 +134,7 @@ def _cmd_pictures(args: argparse.Namespace) -> int:
     inst = _instance(args)
     domain = resolve_order(args.order, cells(inst.mu)) if args.order else None
     pics = _truncate(enumerate_pictures(inst.mu, inst.skew_shape, domain), args.limit)
-    if args.format == "json":
-        _emit_json({"instance": inst.to_json(),
-                    "pictures": [pic.to_json() for pic in pics]})
-    else:
-        for pic in pics:
-            print(_fmt_picture(pic))
+    _emit_listing(args, inst, "pictures", pics, Picture.to_json, _fmt_picture)
     return 0
 
 
@@ -134,11 +142,7 @@ def _cmd_crystals(args: argparse.Namespace) -> int:
     inst = _instance(args)
     order = resolve_order(args.order, cells(inst.mu)) if args.order else None
     tabs = _truncate(lr_filter(inst, order), args.limit)
-    if args.format == "json":
-        _emit_json({"instance": inst.to_json(),
-                    "tableaux": [tab.to_json() for tab in tabs]})
-    elif tabs:
-        print("\n\n".join(tab.ascii() for tab in tabs))
+    _emit_listing(args, inst, "tableaux", tabs, Tableau.to_json, Tableau.ascii, "\n\n")
     return 0
 
 
@@ -146,13 +150,9 @@ def _cmd_phi(args: argparse.Namespace) -> int:
     inst = _instance(args)
     pics = _truncate(enumerate_pictures(inst.mu, inst.skew_shape), args.limit)
     pairs = [(pic, phi(pic, inst)) for pic in pics]
-    if args.format == "json":
-        _emit_json({"instance": inst.to_json(),
-                    "pairs": [{"picture": pic.to_json(), "tableau": tab.to_json()}
-                              for pic, tab in pairs]})
-    else:
-        for pic, tab in pairs:
-            print(f"{_fmt_picture(pic)} => {_fmt_rows(tab)}")
+    _emit_listing(args, inst, "pairs", pairs,
+                  lambda pair: {"picture": pair[0].to_json(), "tableau": pair[1].to_json()},
+                  lambda pair: f"{_fmt_picture(pair[0])} => {_fmt_rows(pair[1])}")
     return 0
 
 
@@ -160,13 +160,9 @@ def _cmd_psi(args: argparse.Namespace) -> int:
     inst = _instance(args)
     tabs = _truncate(lr_filter(inst), args.limit)
     pairs = [(tab, psi(tab, inst)) for tab in tabs]
-    if args.format == "json":
-        _emit_json({"instance": inst.to_json(),
-                    "pairs": [{"tableau": tab.to_json(), "picture": pic.to_json()}
-                              for tab, pic in pairs]})
-    else:
-        for tab, pic in pairs:
-            print(f"{_fmt_rows(tab)} => {_fmt_picture(pic)}")
+    _emit_listing(args, inst, "pairs", pairs,
+                  lambda pair: {"tableau": pair[0].to_json(), "picture": pair[1].to_json()},
+                  lambda pair: f"{_fmt_rows(pair[0])} => {_fmt_picture(pair[1])}")
     return 0
 
 
@@ -188,6 +184,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError("verify needs --nu (bijection check) or --mu with --rank "
                          "(reading embedding check)")
     shape = parse_partition(args.mu)
+    if args.rank < len(shape):
+        raise ValueError(f"rank {args.rank} below the {len(shape)} rows of "
+                         f"{_fmt_parts(shape)}: no tableau exists to check")
     cell_set = cells(shape)
     order = resolve_order(args.order, cell_set) if args.order else TotalOrder.jay(cell_set)
     report = verify_embedding(shape, args.rank, order)
@@ -228,9 +227,7 @@ def _cmd_orders(args: argparse.Namespace) -> int:
                     "orders": [order.to_json() for order in listed]})
     else:
         for index, order in enumerate(listed):
-            tags = [tag for tag, ref in (("jay", TotalOrder.jay(cell_set)),
-                                         ("eff", TotalOrder.eff(cell_set)))
-                    if order == ref]
+            tags = _order_tags(order, cell_set)
             suffix = f" [{','.join(tags)}]" if tags else ""
             print(f"{index}: " + " ".join(_fmt_cell(c) for c in order.cells) + suffix)
         print(f"total={len(everything)}")
@@ -242,12 +239,7 @@ def _conjecture_rows(args: argparse.Namespace):
         return conjecture_sweep(args.max_size)
     if args.lam is None or args.mu is None or args.nu is None:
         raise ValueError("conjecture needs --lambda, --mu, and --nu, or --max-size")
-    inst = _instance(args)
-    rows = []
-    for codomain in enumerate_admissible_orders(inst.skew_shape.cells()):
-        for domain in enumerate_admissible_orders(cells(inst.mu)):
-            rows.append(conjecture_experiment(inst, codomain, domain))
-    return tuple(rows)
+    return conjecture_rows(_instance(args))
 
 
 def _cmd_conjecture(args: argparse.Namespace) -> int:

@@ -25,10 +25,9 @@ from typing import Iterator, NamedTuple
 
 from .pictures import (Picture, SizeMismatch, TotalOrder,
                        enumerate_admissible_orders, enumerate_pictures, is_picture)
-from .shapes import (Cell, NotContained, Partition, SkewShape, add_sequence, cells,
-                     partitions_of, subpartitions)
-from .tableaux import (Tableau, enumerate_ssyt, middle_eastern_reading, p_function,
-                       reading_by_order)
+from .shapes import (AdditionResult, Cell, NotContained, Partition, SkewShape,
+                     add_sequence, cells, partitions_of, subpartitions)
+from .tableaux import Tableau, Word, enumerate_ssyt, p_function, reading_by_order
 
 
 class RankTooSmall(ValueError):
@@ -78,6 +77,15 @@ class LRInstance:
                 "nu": self.nu.to_json(), "rank_bound": self.rank_bound}
 
 
+def _read_and_add(tab: Tableau, lam: Partition,
+                  order: TotalOrder | None = None) -> tuple[Word, AdditionResult]:
+    """Read tab along the order (the row reading by default) and add the word to lam."""
+    if order is None:
+        order = TotalOrder.jay(cells(tab.shape))
+    word = reading_by_order(tab, order)
+    return word, add_sequence(lam, word.letters)
+
+
 def lr_filter(inst: LRInstance, order: TotalOrder | None = None) -> tuple[Tableau, ...]:
     """Tableaux over mu whose reading adds onto lam box by box, ending at nu.
 
@@ -86,13 +94,8 @@ def lr_filter(inst: LRInstance, order: TotalOrder | None = None) -> tuple[Tablea
     """
     if order is None:
         order = TotalOrder.jay(cells(inst.mu))
-    selected = []
-    for tab in enumerate_ssyt(inst.mu, inst.rank_bound):
-        word = reading_by_order(tab, order)
-        result = add_sequence(inst.lam, word.letters)
-        if result.ok and result.final == inst.nu:
-            selected.append(tab)
-    return tuple(selected)
+    return tuple(tab for tab in enumerate_ssyt(inst.mu, inst.rank_bound)
+                 if _read_and_add(tab, inst.lam, order)[1].final == inst.nu)
 
 
 def _is_instance_picture(pic: Picture, inst: LRInstance) -> bool:
@@ -106,8 +109,7 @@ def _in_lr_crystal(tab: Tableau, inst: LRInstance) -> bool:
         return False
     if any(value > inst.rank_bound for row in tab.rows for value in row):
         return False
-    result = add_sequence(inst.lam, middle_eastern_reading(tab).letters)
-    return result.ok and result.final == inst.nu
+    return _read_and_add(tab, inst.lam)[1].final == inst.nu
 
 
 def phi(pic: Picture, inst: LRInstance) -> Tableau:
@@ -204,6 +206,15 @@ def verify_bijection(inst: LRInstance) -> BijectionReport:
     return BijectionReport(inst, len(pics), len(tabs), lattice, status, counterexample)
 
 
+def _sends_reading_to_destinations(pic: Picture, tab: Tableau, inst: LRInstance) -> bool:
+    """Reading tab row by row lands on nu, and pic sends each letter's source
+    cell to the cell that letter's box landed in."""
+    word, result = _read_and_add(tab, inst.lam)
+    mapping = pic.mapping
+    return result.final == inst.nu and all(
+        mapping[source] == step.cell for source, step in zip(word.source_cells, result.steps))
+
+
 def lemma_add_check(pic: Picture, inst: LRInstance) -> bool:
     """Source cells of the reading map to the matching addition destinations.
 
@@ -211,25 +222,12 @@ def lemma_add_check(pic: Picture, inst: LRInstance) -> bool:
     that the picture sends each letter's source cell to the cell that
     letter's box landed in.
     """
-    word = middle_eastern_reading(phi(pic, inst))
-    result = add_sequence(inst.lam, word.letters)
-    if not result.ok or result.final != inst.nu:
-        return False
-    mapping = pic.mapping
-    return all(mapping[source] == step.cell
-               for source, step in zip(word.source_cells, result.steps))
+    return _sends_reading_to_destinations(pic, phi(pic, inst), inst)
 
 
 def lemma_destination_check(tab: Tableau, inst: LRInstance) -> bool:
     """psi sends each cell to the addition destination of the letter read there."""
-    pic = psi(tab, inst)
-    word = middle_eastern_reading(tab)
-    result = add_sequence(inst.lam, word.letters)
-    if not result.ok or result.final != inst.nu:
-        return False
-    mapping = pic.mapping
-    return all(mapping[source] == step.cell
-               for source, step in zip(word.source_cells, result.steps))
+    return _sends_reading_to_destinations(psi(tab, inst), tab, inst)
 
 
 def decompose_tensor(lam: Partition, mu: Partition, rank_bound: int,
@@ -247,7 +245,7 @@ def decompose_tensor(lam: Partition, mu: Partition, rank_bound: int,
         order = TotalOrder.jay(cells(mu))
     multiplicities: Counter[Partition] = Counter()
     for tab in enumerate_ssyt(mu, rank_bound):
-        result = add_sequence(lam, reading_by_order(tab, order).letters)
+        result = _read_and_add(tab, lam, order)[1]
         if result.ok and len(result.final) <= rank_bound:
             multiplicities[result.final] += 1
     ordered = sorted(multiplicities.items(), key=lambda kv: kv[0].parts, reverse=True)
@@ -434,13 +432,15 @@ def sweep(max_size: int) -> SweepReport:
     return SweepReport(max_size, total, tuple(per_size), tuple(failures), elapsed)
 
 
+def conjecture_rows(inst: LRInstance) -> tuple[ConjectureReport, ...]:
+    """The conjecture experiment on every admissible (codomain, domain)
+    order pair of one instance, codomain orders outermost."""
+    return tuple(conjecture_experiment(inst, codomain, domain)
+                 for codomain in enumerate_admissible_orders(inst.skew_shape.cells())
+                 for domain in enumerate_admissible_orders(cells(inst.mu)))
+
+
 def conjecture_sweep(max_size: int) -> tuple[ConjectureReport, ...]:
     """The conjecture experiment on every admissible order pair of every
     instance with target size up to max_size."""
-    rows: list[ConjectureReport] = []
-    for inst in iter_instances(max_size):
-        skew_cells = inst.skew_shape.cells()
-        for codomain in enumerate_admissible_orders(skew_cells):
-            for domain in enumerate_admissible_orders(cells(inst.mu)):
-                rows.append(conjecture_experiment(inst, codomain, domain))
-    return tuple(rows)
+    return tuple(row for inst in iter_instances(max_size) for row in conjecture_rows(inst))

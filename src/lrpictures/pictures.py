@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .shapes import Cell, Partition, SkewShape, cells
 
@@ -40,22 +40,27 @@ def leq_P(a: Cell, b: Cell) -> bool:
     return a[0] <= b[0] and a[1] <= b[1]
 
 
-def leq_J(a: Cell, b: Cell) -> bool:
-    """Row-reading total order: lower row first, right before left in a row."""
-    return a[0] < b[0] or (a[0] == b[0] and a[1] >= b[1])
-
-
-def leq_F(a: Cell, b: Cell) -> bool:
-    """Column-reading total order: righter column first, top before bottom."""
-    return a[1] > b[1] or (a[1] == b[1] and a[0] <= b[0])
-
-
 def _jay_key(cell: Cell) -> tuple[int, int]:
     return (cell[0], -cell[1])
 
 
 def _eff_key(cell: Cell) -> tuple[int, int]:
     return (-cell[1], cell[0])
+
+
+def leq_J(a: Cell, b: Cell) -> bool:
+    """Row-reading total order: lower row first, right before left in a row."""
+    return _jay_key(a) <= _jay_key(b)
+
+
+def leq_F(a: Cell, b: Cell) -> bool:
+    """Column-reading total order: righter column first, top before bottom."""
+    return _eff_key(a) <= _eff_key(b)
+
+
+def _must_precede(a: Cell, b: Cell) -> bool:
+    """a must be listed before b in every admissible order."""
+    return a != b and a[0] <= b[0] and a[1] >= b[1]
 
 
 @dataclass(frozen=True)
@@ -108,7 +113,7 @@ def is_admissible_order(order: TotalOrder) -> bool:
     position = order.positions
     for a in listing:
         for b in listing:
-            if a != b and a[0] <= b[0] and a[1] >= b[1] and position[a] >= position[b]:
+            if _must_precede(a, b) and position[a] >= position[b]:
                 return False
     return True
 
@@ -133,7 +138,7 @@ def _admissible_orders(todo: tuple[Cell, ...]) -> tuple[TotalOrder, ...]:
     predecessors: dict[Cell, set[Cell]] = {c: set() for c in todo}
     for a in todo:
         for b in todo:
-            if a != b and a[0] <= b[0] and a[1] >= b[1]:
+            if _must_precede(a, b):
                 predecessors[b].add(a)
     out: list[TotalOrder] = []
     listing: list[Cell] = []
@@ -155,13 +160,12 @@ def _admissible_orders(todo: tuple[Cell, ...]) -> tuple[TotalOrder, ...]:
     return tuple(out)
 
 
-def is_standard(mapping: Mapping[Cell, Cell], codomain_order: TotalOrder,
-                domain_partial: Callable[[Cell, Cell], bool] = leq_P) -> bool:
+def is_standard(mapping: Mapping[Cell, Cell], codomain_order: TotalOrder) -> bool:
     """Order compatibility of a cell map.
 
-    Whenever two distinct source cells compare under the domain partial
-    order, their images must respect the codomain listing.  Images that
-    the listing does not mention make the map nonstandard.
+    Whenever two distinct source cells compare componentwise, their
+    images must respect the codomain listing.  Images that the listing
+    does not mention make the map nonstandard.
     """
     position = codomain_order.positions
     items = list(mapping.items())
@@ -169,7 +173,7 @@ def is_standard(mapping: Mapping[Cell, Cell], codomain_order: TotalOrder,
         return False
     for x, u in items:
         for y, v in items:
-            if x != y and domain_partial(x, y) and position[u] > position[v]:
+            if x != y and leq_P(x, y) and position[u] > position[v]:
                 return False
     return True
 

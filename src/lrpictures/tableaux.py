@@ -161,16 +161,12 @@ def p_function(tab: Tableau, cell: Cell) -> int:
 
 def middle_eastern_reading(tab: Tableau) -> Word:
     """Read each row right to left, top row first."""
-    sources = tuple((i, j)
-                    for i, p in enumerate(tab.shape.parts, start=1)
-                    for j in range(p, 0, -1))
-    return Word(tuple(tab.rows[i - 1][j - 1] for i, j in sources), sources)
+    return reading_by_order(tab, TotalOrder.jay(cells(tab.shape)))
 
 
 def far_eastern_reading(tab: Tableau) -> Word:
     """Read each column top to bottom, rightmost column first."""
-    sources = tuple(sorted(cells(tab.shape), key=lambda c: (-c[1], c[0])))
-    return Word(tuple(tab.rows[i - 1][j - 1] for i, j in sources), sources)
+    return reading_by_order(tab, TotalOrder.eff(cells(tab.shape)))
 
 
 def reading_by_order(tab: Tableau, order: TotalOrder) -> Word:

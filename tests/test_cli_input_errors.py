@@ -1,0 +1,28 @@
+"""Inputs the CLI must reject with exit 2 and a message naming the problem."""
+
+import pytest
+
+from lrpictures import cli
+
+REF = ["--lambda", "3,1,1", "--mu", "3,2", "--nu", "4,3,2,1"]
+
+
+def run(capsys, *argv):
+    code = cli.run(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("rank", ["1", "0", "-3"])
+def test_verify_embedding_rejects_rank_below_rows(capsys, rank):
+    code, out, err = run(capsys, "verify", "--mu", "2,2", "--rank", rank)
+    assert code == 2
+    assert out == ""
+    assert f"rank {rank} below the 2 rows of 2,2" in err
+
+
+def test_order_index_must_be_decimal(capsys):
+    code, out, err = run(capsys, "crystals", *REF, "--order", "index:²")
+    assert code == 2
+    assert out == ""
+    assert "bad order index" in err
