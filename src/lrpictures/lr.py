@@ -3,7 +3,11 @@
 An instance fixes three shapes with lam inside nu and sizes adding up,
 plus an entry bound for tableaux.  The filtered crystal consists of the
 tableaux over mu whose reading word, added to lam one box at a time,
-stays a partition throughout and lands exactly on nu.  phi turns a
+stays a partition throughout and lands exactly on nu.  That is a prefix
+property, so the filter never builds a tableau that fails it: one
+backtracker fills the cells of mu in the reading order itself, adds each
+entry's box to lam as it is placed, and cuts a branch as soon as the
+shape stops being a partition or a row grows past nu.  phi turns a
 picture into such a tableau by recording the row coordinate of each
 image cell; psi inverts it by sending each cell to the row named by its
 entry, at the column just past lam plus the entry's position from the
@@ -21,13 +25,17 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterator, NamedTuple
 
 from .pictures import (Picture, SizeMismatch, TotalOrder,
                        enumerate_admissible_orders, enumerate_pictures, is_picture)
 from .shapes import (AdditionResult, Cell, NotContained, Partition, SkewShape,
                      add_sequence, cells, partitions_of, subpartitions)
-from .tableaux import Tableau, Word, enumerate_ssyt, p_function, reading_by_order
+from .tableaux import (Tableau, Word, _check_reading_order, p_function,
+                       reading_by_order)
+# not used here; kept as lr.enumerate_ssyt, a name the perfbench tracer test patches
+from .tableaux import enumerate_ssyt  # noqa: F401
 
 
 class RankTooSmall(ValueError):
@@ -86,16 +94,70 @@ def _read_and_add(tab: Tableau, lam: Partition,
     return word, add_sequence(lam, word.letters)
 
 
+def _pruned_fillings(mu: Partition, lam: Partition, order: TotalOrder | None,
+                     rank_bound: int, cap: Partition | None
+                     ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Semistandard fillings of mu whose reading adds onto lam box by box.
+
+    Fills the cells in the order's listing (the row reading by default).
+    An admissible listing puts a cell's right neighbour and the cell
+    above it first, so each entry v is bounded by those two: above + 1 <=
+    v <= min(right, rank_bound).  The box of v goes onto row v of lam at
+    once, and the branch is cut when row v would outgrow row v - 1 or,
+    given a cap, the cap's row v.  Each filling comes back as its entries
+    in row-major cell order paired with the row lengths it adds up to
+    (rank_bound of them), in no particular order.
+    """
+    if order is None:
+        order = TotalOrder.jay(cells(mu))
+    else:
+        _check_reading_order(order, mu)
+    flat = {cell: k for k, cell in enumerate(cells(mu))}
+    steps = [(flat[(i, j)], flat.get((i, j + 1), -1), flat.get((i - 1, j), -1))
+             for i, j in order.cells]
+    unbounded = mu.size + lam.size + 1
+    # rows[v] is the current length of row v; rows[0] never binds
+    rows = [unbounded] + [lam.part(v) for v in range(1, rank_bound + 1)]
+    limit = [unbounded] + [unbounded if cap is None else cap.part(v)
+                           for v in range(1, rank_bound + 1)]
+    entries = [0] * len(flat)
+    found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+
+    def place(k: int) -> None:
+        if k == len(steps):
+            found.append((tuple(entries), tuple(rows[1:])))
+            return
+        cell, right, above = steps[k]
+        low = 1 if above < 0 else entries[above] + 1
+        high = rank_bound if right < 0 else entries[right]
+        for v in range(low, high + 1):
+            length = rows[v] + 1
+            if length > rows[v - 1] or length > limit[v]:
+                continue
+            rows[v] = length
+            entries[cell] = v
+            place(k + 1)
+            rows[v] = length - 1
+
+    place(0)
+    return found
+
+
 def lr_filter(inst: LRInstance, order: TotalOrder | None = None) -> tuple[Tableau, ...]:
     """Tableaux over mu whose reading adds onto lam box by box, ending at nu.
 
     The reading defaults to the row reading; any admissible order on the
-    cells of mu may be passed instead.
+    cells of mu may be passed instead.  The search fills mu along that
+    reading and adds each box to lam as it is placed, so a filling that
+    leaves the partitions or outgrows nu is cut at its first bad box and
+    no failing tableau is ever built.  Output is in lexicographic
+    row-major order, whatever the reading.
     """
-    if order is None:
-        order = TotalOrder.jay(cells(inst.mu))
-    return tuple(tab for tab in enumerate_ssyt(inst.mu, inst.rank_bound)
-                 if _read_and_add(tab, inst.lam, order)[1].final == inst.nu)
+    fillings = sorted(entries for entries, _ in _pruned_fillings(
+        inst.mu, inst.lam, order, inst.rank_bound, inst.nu))
+    bounds = list(accumulate(inst.mu.parts, initial=0))
+    return tuple(Tableau(inst.mu, tuple(entries[a:b] for a, b in zip(bounds, bounds[1:])))
+                 for entries in fillings)
 
 
 def _is_instance_picture(pic: Picture, inst: LRInstance) -> bool:
@@ -234,22 +296,18 @@ def decompose_tensor(lam: Partition, mu: Partition, rank_bound: int,
                      order: TotalOrder | None = None) -> dict[Partition, int]:
     """Multiplicity of each final shape over all tableaux with valid additions.
 
-    Both input shapes must have strictly fewer rows than rank_bound, and
-    only final shapes with at most rank_bound rows are kept.  The reading
-    defaults to the row reading.
+    Both input shapes must have strictly fewer rows than rank_bound;
+    entries are at most rank_bound, so every final shape has at most
+    rank_bound rows.  The reading defaults to the row reading.  Uses the
+    crystal filter's pruned search with no target shape.
     """
     if len(lam) > rank_bound - 1 or len(mu) > rank_bound - 1:
         raise RankTooSmall(
             f"input shapes must have fewer than {rank_bound} rows")
-    if order is None:
-        order = TotalOrder.jay(cells(mu))
-    multiplicities: Counter[Partition] = Counter()
-    for tab in enumerate_ssyt(mu, rank_bound):
-        result = _read_and_add(tab, lam, order)[1]
-        if result.ok and len(result.final) <= rank_bound:
-            multiplicities[result.final] += 1
-    ordered = sorted(multiplicities.items(), key=lambda kv: kv[0].parts, reverse=True)
-    return dict(ordered)
+    multiplicities = Counter(final for _, final in _pruned_fillings(
+        mu, lam, order, rank_bound, None))
+    ordered = sorted(multiplicities.items(), reverse=True)
+    return {Partition(final): count for final, count in ordered}
 
 
 def lr_coefficient_lattice(inst: LRInstance) -> int:

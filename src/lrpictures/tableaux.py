@@ -169,13 +169,18 @@ def far_eastern_reading(tab: Tableau) -> Word:
     return reading_by_order(tab, TotalOrder.eff(cells(tab.shape)))
 
 
-def reading_by_order(tab: Tableau, order: TotalOrder) -> Word:
-    """Read entries along an admissible total order on the shape's cells."""
-    if set(order.cells) != set(cells(tab.shape)):
+def _check_reading_order(order: TotalOrder, shape: Partition) -> None:
+    """Raise unless the order is an admissible listing of the shape's cells."""
+    if set(order.cells) != set(cells(shape)):
         raise OrderCellMismatch(
-            f"order lists {sorted(order.cells)}, shape has {list(cells(tab.shape))}")
+            f"order lists {sorted(order.cells)}, shape has {list(cells(shape))}")
     if not order.admissible:
         raise OrderNotAdmissible("the listing is not an admissible order")
+
+
+def reading_by_order(tab: Tableau, order: TotalOrder) -> Word:
+    """Read entries along an admissible total order on the shape's cells."""
+    _check_reading_order(order, tab.shape)
     return Word(tuple(tab.entry(c) for c in order.cells), order.cells)
 
 

@@ -1,14 +1,20 @@
+from collections import Counter
+from fractions import Fraction
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lrpictures.lr import (BijectionReport, LRInstance, NotAPicture, NotLRCrystal,
-                           RankTooSmall, conjecture_experiment, conjecture_sweep,
+                           RankTooSmall, _read_and_add, conjecture_experiment, conjecture_sweep,
                            decompose_tensor, instances_of_size, iter_instances,
                            lemma_add_check, lemma_destination_check,
                            lr_coefficient_all_methods, lr_coefficient_lattice,
                            lr_filter, phi, psi, sweep, verify_bijection)
-from lrpictures.pictures import (Picture, SizeMismatch, TotalOrder,
-                                 enumerate_admissible_orders, enumerate_pictures)
-from lrpictures.shapes import NotContained, Partition, cells
+from lrpictures.pictures import (OrderCellMismatch, OrderNotAdmissible, Picture,
+                                 SizeMismatch, TotalOrder, enumerate_admissible_orders,
+                                 enumerate_pictures)
+from lrpictures.shapes import NotContained, Partition, cells, partitions_of, subpartitions
 from lrpictures.tableaux import enumerate_ssyt, make_tableau
 
 
@@ -228,3 +234,99 @@ def test_bijection_report_shape_for_failures():
                              {"kind": "count_mismatch"})
     assert not broken.ok
     assert broken.to_json()["bijection"] == "fail"
+
+
+def reference_filter(inst, order=None):
+    """The generate-then-test filter: every SSYT of mu, read and added in full."""
+    return tuple(tab for tab in enumerate_ssyt.__wrapped__(inst.mu, inst.rank_bound)
+                 if _read_and_add(tab, inst.lam, order)[1].final == inst.nu)
+
+
+def reference_decompose(lam, mu, rank_bound, order=None):
+    """Final shapes of every valid addition over every SSYT of mu, largest first."""
+    finals = Counter()
+    for tab in enumerate_ssyt.__wrapped__(mu, rank_bound):
+        final = _read_and_add(tab, lam, order)[1].final
+        if final is not None:
+            finals[final.parts] += 1
+    return [(parts, finals[parts]) for parts in sorted(finals, reverse=True)]
+
+
+def ssyt_count(shape, max_entry):
+    """Hook-content formula for the number of SSYT with entries at most max_entry."""
+    count = Fraction(1)
+    for i, j in cells(shape):
+        arm = shape.part(i) - j
+        leg = sum(1 for k in range(i + 1, len(shape) + 1) if shape.part(k) >= j)
+        count *= Fraction(max_entry + j - i, arm + leg + 1)
+    return int(count)
+
+
+def random_admissible_order(data, shape):
+    """Draw a listing cell by cell among the cells whose right neighbour
+    and upper neighbour are already listed."""
+    remaining = set(cells(shape))
+    listing = []
+    while remaining:
+        ready = sorted(c for c in remaining
+                       if (c[0], c[1] + 1) not in remaining and (c[0] - 1, c[1]) not in remaining)
+        cell = data.draw(st.sampled_from(ready))
+        listing.append(cell)
+        remaining.remove(cell)
+    order = TotalOrder(tuple(listing))
+    assert order.admissible
+    return order
+
+
+# Each example enumerates every SSYT of mu for the reference, so examples
+# with too many are discarded; what is left still reaches |nu| = 11.
+REFERENCE_SSYT_LIMIT = 3000
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_pruned_filter_matches_generate_then_test(data):
+    nu = data.draw(st.integers(8, 11).flatmap(lambda n: st.sampled_from(partitions_of(n))))
+    lam = data.draw(st.sampled_from(subpartitions(nu)))
+    mu = data.draw(st.sampled_from(partitions_of(nu.size - lam.size)))
+    rank_bound = len(nu) + data.draw(st.integers(0, 1))
+    assume(ssyt_count(mu, rank_bound) <= REFERENCE_SSYT_LIMIT)
+    inst = LRInstance(lam, mu, nu, rank_bound)
+    order = random_admissible_order(data, mu)
+    tabs = lr_filter(inst, order)
+    assert tabs == reference_filter(inst, order)
+    assert len(tabs) == lr_coefficient_lattice(inst)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_pruned_decompose_matches_generate_then_test(data):
+    lam = data.draw(st.integers(0, 6).flatmap(lambda n: st.sampled_from(partitions_of(n))))
+    mu = data.draw(st.integers(0, 6).flatmap(lambda n: st.sampled_from(partitions_of(n))))
+    rank_bound = max(len(lam), len(mu)) + 1 + data.draw(st.integers(0, 1))
+    assume(ssyt_count(mu, rank_bound) <= REFERENCE_SSYT_LIMIT)
+    order = random_admissible_order(data, mu)
+    table = decompose_tensor(lam, mu, rank_bound, order)
+    assert [(k.parts, v) for k, v in table.items()] == reference_decompose(
+        lam, mu, rank_bound, order)
+
+
+def test_filter_on_the_heavy_staircase_instance():
+    stair = Partition((5, 4, 3, 2, 1))
+    inst = LRInstance(stair, stair, Partition((8, 6, 5, 4, 3, 2, 1, 1)))
+    assert len(lr_filter(inst)) == lr_coefficient_lattice(inst) == 176
+
+
+def test_orders_are_checked_before_the_search():
+    inst = ref_instance()
+    foreign = TotalOrder.jay(cells(Partition((2, 2, 1))))
+    left_to_right = TotalOrder(cells(inst.mu))
+    assert not left_to_right.admissible
+    with pytest.raises(OrderCellMismatch):
+        lr_filter(inst, foreign)
+    with pytest.raises(OrderNotAdmissible):
+        lr_filter(inst, left_to_right)
+    with pytest.raises(OrderCellMismatch):
+        decompose_tensor(inst.lam, inst.mu, 5, foreign)
+    with pytest.raises(OrderNotAdmissible):
+        decompose_tensor(inst.lam, inst.mu, 5, left_to_right)
