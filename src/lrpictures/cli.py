@@ -367,6 +367,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: input too large for the recursive search", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

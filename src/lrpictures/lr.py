@@ -80,6 +80,11 @@ class LRInstance:
     def skew_shape(self) -> SkewShape:
         return SkewShape(self.nu, self.lam)
 
+    @cached_property
+    def _row_readings(self) -> tuple[TotalOrder, TotalOrder]:
+        """The row readings of mu and of the skew shape, built and checked once."""
+        return TotalOrder.jay(cells(self.mu)), TotalOrder.jay(self.skew_shape.cells())
+
     def to_json(self) -> dict:
         return {"lambda": self.lam.to_json(), "mu": self.mu.to_json(),
                 "nu": self.nu.to_json(), "rank_bound": self.rank_bound}
@@ -160,23 +165,17 @@ def lr_filter(inst: LRInstance, order: TotalOrder | None = None) -> tuple[Tablea
                  for entries in fillings)
 
 
-def _is_instance_picture(pic: Picture, inst: LRInstance) -> bool:
-    domain = TotalOrder.jay(cells(inst.mu))
-    codomain = TotalOrder.jay(inst.skew_shape.cells())
-    return is_picture(pic, domain, codomain)
-
-
 def _in_lr_crystal(tab: Tableau, inst: LRInstance) -> bool:
     if tab.shape != inst.mu:
         return False
     if any(value > inst.rank_bound for row in tab.rows for value in row):
         return False
-    return _read_and_add(tab, inst.lam)[1].final == inst.nu
+    return _read_and_add(tab, inst.lam, inst._row_readings[0])[1].final == inst.nu
 
 
 def phi(pic: Picture, inst: LRInstance) -> Tableau:
     """Turn a picture into a tableau by taking the row coordinate of each image."""
-    if not _is_instance_picture(pic, inst):
+    if not is_picture(pic, *inst._row_readings):
         raise NotAPicture("the pairing is not a picture for this instance")
     mapping = pic.mapping
     rows = tuple(tuple(mapping[(i, j)][0] for j in range(1, p + 1))
@@ -271,7 +270,7 @@ def verify_bijection(inst: LRInstance) -> BijectionReport:
 def _sends_reading_to_destinations(pic: Picture, tab: Tableau, inst: LRInstance) -> bool:
     """Reading tab row by row lands on nu, and pic sends each letter's source
     cell to the cell that letter's box landed in."""
-    word, result = _read_and_add(tab, inst.lam)
+    word, result = _read_and_add(tab, inst.lam, inst._row_readings[0])
     mapping = pic.mapping
     return result.final == inst.nu and all(
         mapping[source] == step.cell for source, step in zip(word.source_cells, result.steps))

@@ -12,6 +12,9 @@ standard examples.
 A picture is a bijection between two cell sets that is order-standard
 in both directions: componentwise-comparable cells must map to cells
 in the listing order, and the same must hold for the inverse map.
+is_standard and is_picture check it pair by pair.  enumerate_pictures uses
+two local rules, exact because partitions and skew shapes are convex:
+adjacent sources map in listing order, and the taken targets form a down-set.
 """
 
 from __future__ import annotations
@@ -247,10 +250,12 @@ def enumerate_pictures(mu: Partition, skew_shape: SkewShape,
                        codomain_order: TotalOrder | None = None) -> tuple[Picture, ...]:
     """All pictures from the cells of mu onto the skew cells.
 
-    The orders default to row-reading on both sides.  Backtracking
-    assigns sources in domain-order sequence and prunes any partial
-    assignment that already violates either standardness condition.
-    Output is sorted by pair list, so it is deterministic.
+    The orders default to row-reading on both sides; any listing of the
+    cells is accepted.  Sources are placed in domain-listing order; an
+    image must follow the images of the placed neighbours above and left,
+    precede those below and right, and find the skew cells above and left
+    of it taken.  Both shapes are convex, so these constant-time tests are
+    exactly the two standardness conditions.  Output is sorted by pair list.
     """
     sources_rowmajor = cells(mu)
     targets = skew_shape.cells()
@@ -267,7 +272,10 @@ def enumerate_pictures(mu: Partition, skew_shape: SkewShape,
         raise OrderCellMismatch("codomain order must list the skew cells")
 
     sources = domain_order.cells
-    target_position = codomain_order.positions
+    listing = codomain_order.cells
+    position = codomain_order.positions
+    upper_left = {(a, b): [v for v in ((a - 1, b), (a, b - 1)) if v in position]
+                  for a, b in listing}
     assigned: dict[Cell, Cell] = {}
     used: set[Cell] = set()
     found: list[Picture] = []
@@ -276,30 +284,19 @@ def enumerate_pictures(mu: Partition, skew_shape: SkewShape,
         if t == len(sources):
             found.append(Picture(tuple(assigned.items())))
             return
-        x = sources[t]
-        for u in targets:
-            if u in used:
+        x = i, j = sources[t]
+        # forward standardness, neighbour by neighbour
+        before = [position[assigned[y]] for y in ((i - 1, j), (i, j - 1)) if y in assigned]
+        after = [position[assigned[y]] for y in ((i + 1, j), (i, j + 1)) if y in assigned]
+        for u in listing[max(before, default=-1) + 1:min(after, default=len(listing))]:
+            # inverse standardness: the taken targets stay a down-set
+            if u in used or any(v not in used for v in upper_left[u]):
                 continue
-            good = True
-            for y, v in assigned.items():
-                # forward standardness against the earlier assignments
-                if leq_P(y, x) and target_position[v] > target_position[u]:
-                    good = False
-                    break
-                if leq_P(x, y) and target_position[u] > target_position[v]:
-                    good = False
-                    break
-                # inverse standardness: v was placed earlier in the domain
-                # order, so u componentwise below v is already a violation
-                if u != v and leq_P(u, v):
-                    good = False
-                    break
-            if good:
-                assigned[x] = u
-                used.add(u)
-                place(t + 1)
-                del assigned[x]
-                used.discard(u)
+            assigned[x] = u
+            used.add(u)
+            place(t + 1)
+            del assigned[x]
+            used.discard(u)
 
     place(0)
     return tuple(sorted(found, key=lambda picture: picture.pairs))

@@ -26,3 +26,11 @@ def test_order_index_must_be_decimal(capsys):
     assert code == 2
     assert out == ""
     assert "bad order index" in err
+
+
+def test_too_deep_a_search_is_an_input_error(capsys):
+    code, out, err = run(capsys, "count", "--lambda", "-", "--mu", "1200", "--nu", "1200")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

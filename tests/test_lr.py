@@ -330,3 +330,15 @@ def test_orders_are_checked_before_the_search():
         decompose_tensor(inst.lam, inst.mu, 5, foreign)
     with pytest.raises(OrderNotAdmissible):
         decompose_tensor(inst.lam, inst.mu, 5, left_to_right)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_bijection_holds_on_random_instances_past_size_eight(data):
+    # mu is drawn among the partitions of |nu| - |lam|, so many examples
+    # have a nonzero coefficient
+    nu = data.draw(st.integers(9, 14).flatmap(lambda n: st.sampled_from(partitions_of(n))))
+    lam = data.draw(st.sampled_from(subpartitions(nu)))
+    mu = data.draw(st.sampled_from(partitions_of(nu.size - lam.size)))
+    report = verify_bijection(LRInstance(lam, mu, nu))
+    assert report.ok, report.to_json()

@@ -1,12 +1,15 @@
 from itertools import permutations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from lrpictures.lr import LRInstance, lr_coefficient_lattice, lr_filter, phi
 from lrpictures.pictures import (OrderCellMismatch, Picture, SizeMismatch,
                                  TotalOrder, enumerate_admissible_orders,
                                  enumerate_pictures, is_admissible_order,
                                  is_picture, is_standard, leq_F, leq_J, leq_P)
-from lrpictures.shapes import Partition, cells, partitions_of, skew
+from lrpictures.shapes import Partition, cells, partitions_of, skew, subpartitions
 
 # the five-cell reference instance used throughout: (3,1,1) inside
 # (4,3,2,1), source shape (3,2)
@@ -216,3 +219,111 @@ def test_enumeration_respects_explicit_orders():
     codomain = TotalOrder.eff(shape.cells())
     found = enumerate_pictures(mu, shape, domain, codomain)
     assert all(is_picture(pic, domain, codomain) for pic in found)
+
+
+# At |nu| <= 10 the reference visits at most ~1000 partial maps (mu = nu =
+# (10) is the worst case); the limit discards any example that needs more.
+REFERENCE_NODE_LIMIT = 20_000
+
+
+def reference_pictures(mu, skew_shape, domain_order, codomain_order):
+    """The pairwise backtracker: each candidate image is checked against
+    every pair already placed.  None once it visits more than
+    REFERENCE_NODE_LIMIT partial maps."""
+    sources = domain_order.cells
+    targets = skew_shape.cells()
+    position = codomain_order.positions
+    assigned, used, found = {}, set(), []
+    nodes = 0
+
+    def place(t):
+        nonlocal nodes
+        nodes += 1
+        if nodes > REFERENCE_NODE_LIMIT:
+            return
+        if t == len(sources):
+            found.append(Picture(tuple(assigned.items())))
+            return
+        x = sources[t]
+        for u in targets:
+            if u in used:
+                continue
+            if all(not (leq_P(y, x) and position[v] > position[u])
+                   and not (leq_P(x, y) and position[u] > position[v])
+                   and not (u != v and leq_P(u, v))
+                   for y, v in assigned.items()):
+                assigned[x] = u
+                used.add(u)
+                place(t + 1)
+                del assigned[x]
+                used.discard(u)
+
+    place(0)
+    if nodes > REFERENCE_NODE_LIMIT:
+        return None
+    return tuple(sorted(found, key=lambda picture: picture.pairs))
+
+
+def draw_instance(data, low, high):
+    """lam inside nu with |nu| in low..high, and mu any partition of the rest."""
+    nu = data.draw(st.integers(low, high).flatmap(lambda n: st.sampled_from(partitions_of(n))))
+    lam = data.draw(st.sampled_from(subpartitions(nu)))
+    mu = data.draw(st.sampled_from(partitions_of(nu.size - lam.size)))
+    return LRInstance(lam, mu, nu)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_local_rules_match_the_pairwise_reference_on_row_readings(data):
+    inst = draw_instance(data, 8, 10)
+    domain = TotalOrder.jay(cells(inst.mu))
+    codomain = TotalOrder.jay(inst.skew_shape.cells())
+    expected = reference_pictures(inst.mu, inst.skew_shape, domain, codomain)
+    assume(expected is not None)
+    found = enumerate_pictures(inst.mu, inst.skew_shape)
+    assert found == expected
+    assert len(found) == lr_coefficient_lattice(inst)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_local_rules_match_the_pairwise_reference_on_admissible_orders(data):
+    inst = draw_instance(data, 8, 10)
+    domain = data.draw(st.sampled_from(enumerate_admissible_orders(cells(inst.mu))))
+    codomain = data.draw(st.sampled_from(
+        enumerate_admissible_orders(inst.skew_shape.cells())))
+    expected = reference_pictures(inst.mu, inst.skew_shape, domain, codomain)
+    assume(expected is not None)
+    assert enumerate_pictures(inst.mu, inst.skew_shape, domain, codomain) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_local_rules_match_the_pairwise_reference_on_any_listing(data):
+    inst = draw_instance(data, 0, 6)
+    domain = TotalOrder(tuple(data.draw(st.permutations(cells(inst.mu)))))
+    codomain = TotalOrder(tuple(data.draw(st.permutations(inst.skew_shape.cells()))))
+    expected = reference_pictures(inst.mu, inst.skew_shape, domain, codomain)
+    assume(expected is not None)
+    assert enumerate_pictures(inst.mu, inst.skew_shape, domain, codomain) == expected
+
+
+def test_one_long_row_has_one_picture():
+    row = Partition((200,))
+    found = enumerate_pictures(row, skew(row, Partition(())))
+    assert found == (Picture(tuple(((1, j), (1, 201 - j)) for j in range(1, 201))),)
+
+
+def test_pictures_of_the_heavy_staircase_instance():
+    stair = Partition((5, 4, 3, 2, 1))
+    inst = LRInstance(stair, stair, Partition((8, 6, 5, 4, 3, 2, 1, 1)))
+    found = enumerate_pictures(inst.mu, inst.skew_shape)
+    assert len(found) == lr_coefficient_lattice(inst) == 176
+    assert {phi(pic, inst) for pic in found} == set(lr_filter(inst))
+
+
+def test_staircase_instance_without_pictures():
+    stair = Partition((5, 4, 3, 2, 1))
+    inst = LRInstance(stair, stair, Partition((10, 9, 5, 3, 2, 1)))
+    assert enumerate_pictures(inst.mu, inst.skew_shape) == ()
+    assert lr_coefficient_lattice(inst) == 0
