@@ -170,6 +170,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.nu is not None:
         if args.lam is None or args.mu is None:
             raise ValueError("verify with --nu needs --lambda and --mu as well")
+        if args.order is not None:
+            raise ValueError("--order not used: verify with --nu checks the row reading")
         report = verify_bijection(_instance(args))
         if args.format == "json":
             _emit_json(report.to_json())
@@ -183,6 +185,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.mu is None or args.rank is None:
         raise ValueError("verify needs --nu (bijection check) or --mu with --rank "
                          "(reading embedding check)")
+    if args.lam is not None:
+        raise ValueError("--lambda not used: verify without --nu checks the embedding of --mu")
     shape = parse_partition(args.mu)
     if args.rank < len(shape):
         raise ValueError(f"rank {args.rank} below the {len(shape)} rows of "
@@ -236,6 +240,11 @@ def _cmd_orders(args: argparse.Namespace) -> int:
 
 def _conjecture_rows(args: argparse.Namespace):
     if args.max_size is not None:
+        unused = [flag for flag, value in (("--lambda", args.lam), ("--mu", args.mu),
+                                           ("--nu", args.nu), ("--rank", args.rank))
+                  if value is not None]
+        if unused:
+            raise ValueError(f"{', '.join(unused)} not used: --max-size sweeps every instance")
         return conjecture_sweep(args.max_size)
     if args.lam is None or args.mu is None or args.nu is None:
         raise ValueError("conjecture needs --lambda, --mu, and --nu, or --max-size")

@@ -227,17 +227,20 @@ class BijectionReport:
 
 
 def verify_bijection(inst: LRInstance) -> BijectionReport:
-    """Enumerate both sides, push everything through phi and psi, and compare.
+    """Enumerate both sides, push each picture through phi and psi, and compare.
 
     The report carries all three counts; bijection reads "ok" only when
     the maps are mutually inverse between the enumerated sets and the
-    counts agree with the lattice oracle.
+    counts agree with the lattice oracle.  One round trip per picture
+    suffices.  It shows phi injective into the crystal with psi undoing it,
+    so each tableau phi reaches passes the reverse check, and psi sends any
+    other one outside the pictures or to a picture that phi sends elsewhere.
     """
     pics = enumerate_pictures(inst.mu, inst.skew_shape)
     tabs = lr_filter(inst)
     lattice = lr_coefficient_lattice(inst)
-    picture_set = set(pics)
     crystal_set = set(tabs)
+    matched: set[Tableau] = set()
     counterexample = None
     for pic in pics:
         tab = phi(pic, inst)
@@ -249,17 +252,13 @@ def verify_bijection(inst: LRInstance) -> BijectionReport:
             counterexample = {"kind": "psi_phi_not_identity",
                               "picture": pic.to_json()}
             break
+        matched.add(tab)
     if counterexample is None:
-        for tab in tabs:
-            pic = psi(tab, inst)
-            if pic not in picture_set:
-                counterexample = {"kind": "psi_image_outside_pictures",
-                                  "tableau": tab.to_json()}
-                break
-            if phi(pic, inst) != tab:
-                counterexample = {"kind": "phi_psi_not_identity",
-                                  "tableau": tab.to_json()}
-                break
+        unmatched = next((tab for tab in tabs if tab not in matched), None)
+        if unmatched is not None:
+            kind = ("phi_psi_not_identity" if psi(unmatched, inst) in pics
+                    else "psi_image_outside_pictures")
+            counterexample = {"kind": kind, "tableau": unmatched.to_json()}
     if counterexample is None and not len(pics) == len(tabs) == lattice:
         counterexample = {"kind": "count_mismatch", "pictures": len(pics),
                           "crystals": len(tabs), "lattice": lattice}

@@ -196,21 +196,11 @@ def partitions_of(total: int) -> tuple[Partition, ...]:
     return tuple(Partition(t) for t in _partition_tuples(total, total))
 
 
-@lru_cache(maxsize=None)
 def subpartitions(shape: Partition) -> tuple[Partition, ...]:
     """All partitions contained cellwise in the given one, largest first."""
-    found: set[tuple[int, ...]] = set()
-
-    def extend(row: int, cap: int, acc: tuple[int, ...]) -> None:
-        if row > len(shape):
-            trimmed = acc
-            while trimmed and trimmed[-1] == 0:
-                trimmed = trimmed[:-1]
-            found.add(trimmed)
-            return
-        for p in range(min(cap, shape.part(row)), -1, -1):
-            extend(row + 1, p, acc + (p,))
-
-    extend(1, shape.part(1), ())
-    ordered = sorted(found, key=lambda t: (sum(t), t), reverse=True)
+    rows: list[tuple[int, ...]] = [()]
+    for bound in shape.parts:
+        rows = [acc + (p,) for acc in rows
+                for p in range(min(bound, acc[-1] if acc else bound) + 1)]
+    ordered = sorted(rows, key=lambda t: (sum(t), t), reverse=True)
     return tuple(Partition(t) for t in ordered)

@@ -34,3 +34,19 @@ def test_too_deep_a_search_is_an_input_error(capsys):
     assert out == ""
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["verify", *REF, "--order", "index:99"], "--order"),
+    (["verify", *REF, "--order", "jay"], "--order"),
+    (["verify", "--lambda", "3,1,1", "--mu", "3,2", "--rank", "4"], "--lambda"),
+    (["conjecture", "--max-size", "1", "--lambda", "5", "--mu", "7", "--nu", "2"],
+     "--lambda, --mu, --nu"),
+    (["conjecture", "--max-size", "1", "--rank", "3"], "--rank"),
+])
+def test_an_option_the_verb_would_ignore_is_a_usage_error(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {flag} not used: ")
+    assert err.count("\n") == 1

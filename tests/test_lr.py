@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from lrpictures import lr
 from lrpictures.lr import (BijectionReport, LRInstance, NotAPicture, NotLRCrystal,
                            RankTooSmall, _read_and_add, conjecture_experiment, conjecture_sweep,
                            decompose_tensor, instances_of_size, iter_instances,
@@ -234,6 +235,70 @@ def test_bijection_report_shape_for_failures():
                              {"kind": "count_mismatch"})
     assert not broken.ok
     assert broken.to_json()["bijection"] == "fail"
+
+
+# Faults injected into the names verify_bijection looks up in lrpictures.lr,
+# on the reference instance (c = 2).  The pictures come out as
+# (REF_PIC_FOR_T2, REF_PIC_FOR_T) and the tableaux as (REF_T, REF_T2).
+
+def injected_report(monkeypatch, **faults):
+    for name, fake in faults.items():
+        monkeypatch.setattr(lr, name, fake)
+    report = verify_bijection(ref_instance())
+    assert report.bijection == "fail"
+    return report.counterexample
+
+
+def test_a_tableau_missing_from_the_filter_is_named_by_its_picture(monkeypatch):
+    assert injected_report(monkeypatch, lr_filter=lambda inst: (REF_T2,)) == {
+        "kind": "phi_image_outside_crystal", "picture": REF_PIC_FOR_T.to_json()}
+
+
+def test_a_constant_psi_fails_on_the_first_picture_it_misses(monkeypatch):
+    assert injected_report(monkeypatch, psi=lambda tab, inst: REF_PIC_FOR_T2) == {
+        "kind": "psi_phi_not_identity", "picture": REF_PIC_FOR_T.to_json()}
+
+
+def test_a_picture_missing_from_the_enumeration_is_named_by_its_tableau(monkeypatch):
+    assert injected_report(monkeypatch,
+                           enumerate_pictures=lambda mu, skew: (REF_PIC_FOR_T,)) == {
+        "kind": "psi_image_outside_pictures", "tableau": REF_T2.to_json()}
+
+
+def test_an_extra_tableau_sent_to_a_reached_picture(monkeypatch):
+    stray = make_tableau(Partition((3, 2)), ((1, 1, 1), (2, 2)))
+    real_filter, real_psi = lr.lr_filter, lr.psi
+    assert injected_report(
+        monkeypatch,
+        lr_filter=lambda inst: real_filter(inst) + (stray,),
+        psi=lambda tab, inst: REF_PIC_FOR_T2 if tab == stray else real_psi(tab, inst)) == {
+        "kind": "phi_psi_not_identity", "tableau": stray.to_json()}
+
+
+def test_a_lattice_count_off_by_one(monkeypatch):
+    real_lattice = lr.lr_coefficient_lattice
+    assert injected_report(monkeypatch,
+                           lr_coefficient_lattice=lambda inst: real_lattice(inst) + 1) == {
+        "kind": "count_mismatch", "pictures": 2, "crystals": 2, "lattice": 3}
+
+
+def test_one_round_trip_per_picture(monkeypatch):
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(lr, name)
+
+        def call(*args):
+            calls[name] += 1
+            return original(*args)
+        return call
+
+    monkeypatch.setattr(lr, "phi", counted("phi"))
+    monkeypatch.setattr(lr, "psi", counted("psi"))
+    stair = Partition((5, 4, 3, 2, 1))
+    report = verify_bijection(LRInstance(stair, stair, Partition((8, 6, 5, 4, 3, 2, 1, 1))))
+    assert report.ok and report.lattice == 176
+    assert calls == {"phi": 176, "psi": 176}
 
 
 def reference_filter(inst, order=None):
