@@ -32,8 +32,7 @@ from .pictures import (Picture, SizeMismatch, TotalOrder,
                        enumerate_admissible_orders, enumerate_pictures, is_picture)
 from .shapes import (AdditionResult, Cell, NotContained, Partition, SkewShape,
                      add_sequence, cells, partitions_of, subpartitions)
-from .tableaux import (Tableau, Word, _check_reading_order, p_function,
-                       reading_by_order)
+from .tableaux import Tableau, Word, _check_reading_order, reading_by_order
 # not used here; kept as lr.enumerate_ssyt, a name the perfbench tracer test patches
 from .tableaux import enumerate_ssyt  # noqa: F401
 
@@ -166,11 +165,19 @@ def lr_filter(inst: LRInstance, order: TotalOrder | None = None) -> tuple[Tablea
 
 
 def _in_lr_crystal(tab: Tableau, inst: LRInstance) -> bool:
+    """The row reading of tab adds onto lam box by box, on row lengths as in
+    the filter's search, and lands on nu."""
     if tab.shape != inst.mu:
         return False
-    if any(value > inst.rank_bound for row in tab.rows for value in row):
-        return False
-    return _read_and_add(tab, inst.lam, inst._row_readings[0])[1].final == inst.nu
+    rank, lam, nu = inst.rank_bound, inst.lam.parts, inst.nu.parts
+    # rows[v] is the current length of row v; rows[0] never binds
+    rows = [inst.nu.size + 1, *lam] + [0] * (rank - len(lam))
+    for row in tab.rows:
+        for v in reversed(row):
+            if v > rank or rows[v] >= rows[v - 1]:
+                return False
+            rows[v] += 1
+    return rows[1:] == [*nu] + [0] * (rank - len(nu))
 
 
 def phi(pic: Picture, inst: LRInstance) -> Tableau:
@@ -184,11 +191,17 @@ def phi(pic: Picture, inst: LRInstance) -> Tableau:
 
 
 def _psi_pairs(tab: Tableau, lam: Partition) -> tuple[tuple[Cell, Cell], ...]:
+    """Each cell with its psi target.  Equal entries form a horizontal strip, so rows
+    top down, each right to left, meet each level set in p_function's order."""
+    seen: dict[int, int] = {}
     pairs = []
     for i, row in enumerate(tab.rows, start=1):
-        for j, value in enumerate(row, start=1):
-            target = (value, lam.part(value) + p_function(tab, (i, j)))
-            pairs.append(((i, j), target))
+        row_pairs = []
+        for j in range(len(row), 0, -1):
+            value = row[j - 1]
+            seen[value] = p = seen.get(value, 0) + 1
+            row_pairs.append(((i, j), (value, lam.part(value) + p)))
+        pairs += reversed(row_pairs)
     return tuple(pairs)
 
 

@@ -12,7 +12,7 @@ standard examples.
 A picture is a bijection between two cell sets that is order-standard
 in both directions: componentwise-comparable cells must map to cells
 in the listing order, and the same must hold for the inverse map.
-is_standard and is_picture check it pair by pair.  enumerate_pictures uses
+is_standard and is_picture check it by prefix maxima.  enumerate_pictures uses
 two local rules, exact because partitions and skew shapes are convex:
 adjacent sources map in listing order, and the taken targets form a down-set.
 """
@@ -168,16 +168,28 @@ def is_standard(mapping: Mapping[Cell, Cell], codomain_order: TotalOrder) -> boo
 
     Whenever two distinct source cells compare componentwise, their
     images must respect the codomain listing.  Images that the listing
-    does not mention make the map nonstandard.
+    does not mention make the map nonstandard.  A prefix maximum over the
+    sources' rows and columns gives the latest image below each source.
     """
     position = codomain_order.positions
-    items = list(mapping.items())
-    if any(image not in position for _, image in items):
-        return False
-    for x, u in items:
-        for y, v in items:
-            if x != y and leq_P(x, y) and position[u] > position[v]:
-                return False
+    col_rank = {c: k for k, c in enumerate(sorted({c for _, c in mapping}))}
+    rows: dict[int, dict[int, int]] = {}
+    for (r, c), image in mapping.items():
+        if image not in position:
+            return False
+        rows.setdefault(r, {})[col_rank[c]] = position[image]
+    # best[k]: latest image position at column rank <= k in the rows so far
+    best = [-1] * len(col_rank)
+    for r in sorted(rows):
+        here, running = rows[r], -1
+        for k, above in enumerate(best):
+            if above > running:
+                running = above
+            if k in here:
+                if running > here[k]:
+                    return False
+                running = here[k]
+            best[k] = running
     return True
 
 

@@ -178,10 +178,15 @@ def _check_reading_order(order: TotalOrder, shape: Partition) -> None:
         raise OrderNotAdmissible("the listing is not an admissible order")
 
 
+def _letters_along(tab: Tableau, order: TotalOrder) -> tuple[int, ...]:
+    """Entries along an order already checked against the tableau's shape."""
+    return tuple(tab.rows[i - 1][j - 1] for i, j in order.cells)
+
+
 def reading_by_order(tab: Tableau, order: TotalOrder) -> Word:
     """Read entries along an admissible total order on the shape's cells."""
     _check_reading_order(order, tab.shape)
-    return Word(tuple(tab.entry(c) for c in order.cells), order.cells)
+    return Word(_letters_along(tab, order), order.cells)
 
 
 def weight(tab: Tableau, max_entry: int) -> tuple[int, ...]:

@@ -9,7 +9,7 @@ operator killing the element.
 
 The only consumer in this package is verify_embedding, which checks that
 reading tableaux along an admissible order gives a set of words closed
-under both operators.
+under both operators; it checks the order and each word once.
 """
 
 from __future__ import annotations
@@ -18,20 +18,26 @@ from typing import NamedTuple, Sequence
 
 from .pictures import TotalOrder
 from .shapes import Partition
-from .tableaux import enumerate_ssyt, reading_by_order
+from .tableaux import _check_reading_order, _letters_along, enumerate_ssyt
+# not used here; kept as wordcrystal.reading_by_order for the perfbench tracer test
+from .tableaux import reading_by_order  # noqa: F401
 
 
 class IndexOutOfRange(ValueError):
     """Operator index outside the valid range for the letter bound."""
 
 
+def _check_letters(letters: tuple[int, ...], max_letter: int) -> None:
+    for a in letters:
+        if not 1 <= a <= max_letter:
+            raise ValueError(f"letter {a} outside 1..{max_letter}")
+
+
 def _checked(word: Sequence[int], i: int, max_letter: int) -> tuple[int, ...]:
     if not 1 <= i <= max_letter - 1:
         raise IndexOutOfRange(f"index {i} not in 1..{max_letter - 1}")
     letters = tuple(word)
-    for a in letters:
-        if not 1 <= a <= max_letter:
-            raise ValueError(f"letter {a} outside 1..{max_letter}")
+    _check_letters(letters, max_letter)
     return letters
 
 
@@ -54,28 +60,25 @@ def _survivors(letters: tuple[int, ...], i: int) -> tuple[list[int], list[int]]:
     return plus, minus
 
 
+def _lower_and_raise(letters: tuple[int, ...], i: int
+                     ) -> tuple[tuple[int, ...] | None, tuple[int, ...] | None]:
+    """Both operators' results on checked letters, from one signature scan."""
+    plus, minus = _survivors(letters, i)
+    lowered = letters[:plus[0]] + (i + 1,) + letters[plus[0] + 1:] if plus else None
+    raised = letters[:minus[-1]] + (i,) + letters[minus[-1] + 1:] if minus else None
+    return lowered, raised
+
+
 def lowering_operator(word: Sequence[int], i: int,
                       max_letter: int) -> tuple[int, ...] | None:
     """Turn the leftmost uncancelled letter i into i+1, or return None."""
-    letters = _checked(word, i, max_letter)
-    plus, _ = _survivors(letters, i)
-    if not plus:
-        return None
-    out = list(letters)
-    out[plus[0]] = i + 1
-    return tuple(out)
+    return _lower_and_raise(_checked(word, i, max_letter), i)[0]
 
 
 def raising_operator(word: Sequence[int], i: int,
                      max_letter: int) -> tuple[int, ...] | None:
     """Turn the rightmost uncancelled letter i+1 into i, or return None."""
-    letters = _checked(word, i, max_letter)
-    _, minus = _survivors(letters, i)
-    if not minus:
-        return None
-    out = list(letters)
-    out[minus[-1]] = i
-    return tuple(out)
+    return _lower_and_raise(_checked(word, i, max_letter), i)[1]
 
 
 class EmbeddingReport(NamedTuple):
@@ -89,15 +92,15 @@ def verify_embedding(shape: Partition, max_entry: int,
 
     The image of the reading map must be closed under both operators:
     applying either to an image word yields None or another image word.
-    The first violation is returned as the counterexample.
+    The first violation is returned as the counterexample, trying words
+    in sorted order, then indices, then lowering before raising.
     """
-    image = {reading_by_order(tab, order).letters
-             for tab in enumerate_ssyt(shape, max_entry)}
+    _check_reading_order(order, shape)
+    image = {_letters_along(tab, order) for tab in enumerate_ssyt(shape, max_entry)}
     for word in sorted(image):
+        _check_letters(word, max_entry)
         for i in range(1, max_entry):
-            for name, operator in (("lowering", lowering_operator),
-                                   ("raising", raising_operator)):
-                result = operator(word, i, max_entry)
+            for name, result in zip(("lowering", "raising"), _lower_and_raise(word, i)):
                 if result is not None and result not in image:
                     return EmbeddingReport(False, {
                         "word": list(word),

@@ -1,4 +1,4 @@
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import pytest
@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from lrpictures import lr
 from lrpictures.lr import (BijectionReport, LRInstance, NotAPicture, NotLRCrystal,
-                           RankTooSmall, _read_and_add, conjecture_experiment, conjecture_sweep,
+                           RankTooSmall, _in_lr_crystal, _psi_pairs, _read_and_add,
+                           conjecture_experiment, conjecture_sweep,
                            decompose_tensor, instances_of_size, iter_instances,
                            lemma_add_check, lemma_destination_check,
                            lr_coefficient_all_methods, lr_coefficient_lattice,
@@ -16,7 +17,7 @@ from lrpictures.pictures import (OrderCellMismatch, OrderNotAdmissible, Picture,
                                  SizeMismatch, TotalOrder, enumerate_admissible_orders,
                                  enumerate_pictures)
 from lrpictures.shapes import NotContained, Partition, cells, partitions_of, subpartitions
-from lrpictures.tableaux import enumerate_ssyt, make_tableau
+from lrpictures.tableaux import enumerate_ssyt, make_tableau, p_function
 
 
 def ref_instance():
@@ -407,3 +408,39 @@ def test_bijection_holds_on_random_instances_past_size_eight(data):
     mu = data.draw(st.sampled_from(partitions_of(nu.size - lam.size)))
     report = verify_bijection(LRInstance(lam, mu, nu))
     assert report.ok, report.to_json()
+
+
+def test_the_c1624_staircase_instance():
+    stair = Partition((6, 5, 4, 3, 2, 1))
+    report = verify_bijection(LRInstance(stair, stair, Partition((9, 8, 7, 6, 5, 4, 2, 1))))
+    assert report.ok
+    assert (report.pictures, report.crystals, report.lattice) == (1624, 1624, 1624)
+
+
+def reference_psi_pairs(tab, lam):
+    """psi's pairs by definition: each cell goes to row value, column
+    lam's row plus p_function of the cell."""
+    return tuple(((i, j), (value, lam.part(value) + p_function(tab, (i, j))))
+                 for i, row in enumerate(tab.rows, start=1)
+                 for j, value in enumerate(row, start=1))
+
+
+def test_row_lengths_and_one_scan_match_reading_and_p_function():
+    """Every instance with |nu| <= 7 and every SSYT of mu with entries up to
+    rank_bound + 1: _in_lr_crystal agrees with reading and adding in full,
+    and, wherever psi could meet the tableau (entries up to rank_bound),
+    _psi_pairs agrees with p_function."""
+    groups = defaultdict(list)
+    for inst in iter_instances(7):
+        groups[inst.mu, inst.lam].append(inst)
+    for (mu, lam), insts in groups.items():
+        row_reading = TotalOrder.jay(cells(mu))
+        rank = max(inst.rank_bound for inst in insts)
+        for tab in enumerate_ssyt.__wrapped__(mu, rank + 1):
+            final = _read_and_add(tab, lam, row_reading)[1].final
+            top = max(map(max, tab.rows), default=0)
+            for inst in insts:
+                if top <= inst.rank_bound + 1:
+                    assert _in_lr_crystal(tab, inst) == (final == inst.nu)
+            if top <= rank:
+                assert _psi_pairs(tab, lam) == reference_psi_pairs(tab, lam)

@@ -115,6 +115,61 @@ def test_standardness_requires_listed_images():
     assert not is_standard({(1, 1): (9, 9)}, codomain)
 
 
+def reference_is_standard(mapping, codomain_order):
+    """The pairwise definition: every componentwise-comparable pair of
+    distinct sources has its images in listing order."""
+    position = codomain_order.positions
+    items = list(mapping.items())
+    if any(image not in position for _, image in items):
+        return False
+    return not any(x != y and leq_P(x, y) and position[u] > position[v]
+                   for x, u in items for y, v in items)
+
+
+# small coordinates make many comparable pairs; huge ones make gaps and
+# sparse cell sets whose bounding box would not fit in memory
+coordinates = st.one_of(st.integers(1, 4), st.integers(1, 10**9))
+any_cell = st.tuples(coordinates, coordinates)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_prefix_maximum_standardness_matches_the_pairwise_reference(data):
+    sources = sorted(data.draw(st.lists(any_cell, max_size=8, unique=True)))
+    listing = data.draw(st.lists(any_cell, min_size=max(1, len(sources)), max_size=10,
+                                 unique=True))
+    order = TotalOrder(tuple(listing))
+    if data.draw(st.booleans()):
+        # nondecreasing images along the row-major sources are standard;
+        # repeats make the map non-injective, and a swap may break it
+        ranks = sorted(data.draw(st.lists(st.integers(0, len(listing) - 1),
+                                          min_size=len(sources), max_size=len(sources),
+                                          unique=data.draw(st.booleans()))))
+        images = [listing[k] for k in ranks]
+        if len(images) > 1 and data.draw(st.booleans()):
+            a, b = data.draw(st.lists(st.integers(0, len(images) - 1),
+                                      min_size=2, max_size=2, unique=True))
+            images[a], images[b] = images[b], images[a]
+    else:
+        # any images at all, some of them possibly missing from the listing
+        pool = listing + data.draw(st.lists(any_cell, max_size=2))
+        images = data.draw(st.lists(st.sampled_from(pool),
+                                    min_size=len(sources), max_size=len(sources)))
+    # any insertion order: an inverse map lists its sources unsorted
+    mapping = dict(data.draw(st.permutations(list(zip(sources, images)))))
+    assert is_standard(mapping, order) == reference_is_standard(mapping, order)
+
+
+def test_standardness_on_sparse_cells_compares_only_comparable_pairs():
+    codomain = TotalOrder(((5, 5), (1, 1), (10**9, 1)))
+    far = {(1, 10**9): (5, 5), (10**9, 1): (1, 1), (10**9, 10**9): (10**9, 1)}
+    assert is_standard(far, codomain) and reference_is_standard(far, codomain)
+    far[(10**9, 10**9)] = (1, 1)
+    assert is_standard(far, codomain)
+    far[(10**9, 10**9)] = (5, 5)
+    assert not is_standard(far, codomain) and not reference_is_standard(far, codomain)
+
+
 def test_picture_pairs_are_canonicalized():
     scrambled = Picture((((2, 2), (4, 1)), ((1, 1), (1, 4)), ((1, 2), (2, 3)),
                          ((2, 1), (3, 2)), ((1, 3), (2, 2))))

@@ -1,9 +1,14 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lrpictures.pictures import TotalOrder
+from lrpictures import wordcrystal
+from lrpictures.pictures import (OrderCellMismatch, OrderNotAdmissible, TotalOrder,
+                                 enumerate_admissible_orders)
 from lrpictures.shapes import Partition, cells, partitions_of
+from lrpictures.tableaux import reading_by_order
 from lrpictures.wordcrystal import (IndexOutOfRange, lowering_operator,
                                     raising_operator, verify_embedding)
 
@@ -131,3 +136,56 @@ def test_closure_rejects_inadmissible_orders():
     from lrpictures.pictures import OrderNotAdmissible
     with pytest.raises(OrderNotAdmissible):
         verify_embedding(Partition((2,)), 2, TotalOrder(((1, 1), (1, 2))))
+
+
+def test_the_order_is_checked_when_no_tableau_exists():
+    # entries up to 2 cannot fill three rows, so nothing is ever read
+    with pytest.raises(OrderNotAdmissible):
+        verify_embedding(Partition((1, 1, 1)), 2, TotalOrder(((3, 1), (2, 1), (1, 1))))
+
+
+def test_the_order_cells_are_checked_when_no_tableau_exists():
+    with pytest.raises(OrderCellMismatch):
+        verify_embedding(Partition((1, 1, 1)), 2, TotalOrder.jay(cells(Partition((3,)))))
+
+
+def reference_embedding(shape, max_entry, order):
+    """Read every tableau through reading_by_order and apply each public
+    operator to each image word."""
+    image = {reading_by_order(tab, order).letters
+             for tab in wordcrystal.enumerate_ssyt(shape, max_entry)}
+    for word in sorted(image):
+        for i in range(1, max_entry):
+            for name, operator in (("lowering", lowering_operator),
+                                   ("raising", raising_operator)):
+                result = operator(word, i, max_entry)
+                if result is not None and result not in image:
+                    return (False, {"word": list(word), "operator": name,
+                                    "index": i, "result": list(result)})
+    return (True, None)
+
+
+def test_embedding_reports_match_the_per_tableau_reference():
+    for size in range(7):
+        for shape in partitions_of(size):
+            for order in enumerate_admissible_orders(cells(shape)):
+                for max_entry in range(1, 6):
+                    assert verify_embedding(shape, max_entry, order) == reference_embedding(
+                        shape, max_entry, order)
+
+
+# one missing word is never both operators' result on the same word, so
+# pairs of dropped tableaux pin lowering-before-raising: on the row (2,),
+# dropping 11 and 22 leaves 12 with both results missing at index 1
+@pytest.mark.parametrize("shape", [Partition((2, 1)), Partition((2,))])
+@pytest.mark.parametrize("reading", [TotalOrder.jay, TotalOrder.eff])
+def test_dropped_tableaux_give_the_reference_counterexample(monkeypatch, shape, reading):
+    real = wordcrystal.enumerate_ssyt
+    order = reading(cells(shape))
+    count = len(real(shape, 3))
+    for dropped in [(k,) for k in range(count)] + list(combinations(range(count), 2)):
+        monkeypatch.setattr(wordcrystal, "enumerate_ssyt", lambda shape, max_entry: tuple(
+            tab for k, tab in enumerate(real(shape, max_entry)) if k not in dropped))
+        report = verify_embedding(shape, 3, order)
+        assert not report.ok
+        assert tuple(report) == reference_embedding(shape, 3, order)
