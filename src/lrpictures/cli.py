@@ -91,12 +91,14 @@ def _order_label(order: TotalOrder, cell_set: tuple) -> str:
     return f"{index}:{'+'.join(tags)}" if tags else str(index)
 
 
+def _nonnegative(flag: str, value: int) -> int:
+    if value < 0:
+        raise ValueError(f"{flag} must be nonnegative")
+    return value
+
+
 def _truncate(items: tuple, limit: int | None) -> tuple:
-    if limit is None:
-        return items
-    if limit < 0:
-        raise ValueError("--limit must be nonnegative")
-    return items[:limit]
+    return items if limit is None else items[:_nonnegative("--limit", limit)]
 
 
 def _instance(args: argparse.Namespace) -> LRInstance:
@@ -245,7 +247,7 @@ def _conjecture_rows(args: argparse.Namespace):
                   if value is not None]
         if unused:
             raise ValueError(f"{', '.join(unused)} not used: --max-size sweeps every instance")
-        return conjecture_sweep(args.max_size)
+        return conjecture_sweep(_nonnegative("--max-size", args.max_size))
     if args.lam is None or args.mu is None or args.nu is None:
         raise ValueError("conjecture needs --lambda, --mu, and --nu, or --max-size")
     return conjecture_rows(_instance(args))
@@ -273,7 +275,7 @@ def _cmd_conjecture(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    report = sweep(args.max_size)
+    report = sweep(_nonnegative("--max-size", args.max_size))
     if args.format == "json":
         _emit_json(report.to_json())
     else:
@@ -375,9 +377,6 @@ def run(argv: Sequence[str] | None = None) -> int:
         return _HANDLERS[args.verb](args)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        print("error: input too large for the recursive search", file=sys.stderr)
         return 2
 
 

@@ -4,19 +4,17 @@ An instance fixes three shapes with lam inside nu and sizes adding up,
 plus an entry bound for tableaux.  The filtered crystal consists of the
 tableaux over mu whose reading word, added to lam one box at a time,
 stays a partition throughout and lands exactly on nu.  That is a prefix
-property, so the filter never builds a tableau that fails it: one
-backtracker fills the cells of mu in the reading order itself, adds each
-entry's box to lam as it is placed, and cuts a branch as soon as the
-shape stops being a partition or a row grows past nu.  phi turns a
+property, so the filter runs the filling search of the tableaux module
+with nu as the cap, and never builds a tableau that fails it.  phi turns a
 picture into such a tableau by recording the row coordinate of each
 image cell; psi inverts it by sending each cell to the row named by its
 entry, at the column just past lam plus the entry's position from the
 right among equal entries.
 
 lr_coefficient_lattice is a deliberately separate oracle: it counts
-lattice-word fillings of the skew shape by direct backtracking over raw
-part tuples and never touches the tableau, crystal, or picture code
-paths, so agreement between all three counts is meaningful evidence.
+lattice-word fillings of the skew shape by a backtracking loop of its own
+over raw part tuples and never touches the tableau, crystal, or picture
+code paths, so agreement between all three counts is meaningful evidence.
 """
 
 from __future__ import annotations
@@ -25,14 +23,13 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 from typing import Iterator, NamedTuple
 
 from .pictures import (Picture, SizeMismatch, TotalOrder,
                        enumerate_admissible_orders, enumerate_pictures, is_picture)
 from .shapes import (AdditionResult, Cell, NotContained, Partition, SkewShape,
                      add_sequence, cells, partitions_of, subpartitions)
-from .tableaux import Tableau, Word, _check_reading_order, reading_by_order
+from .tableaux import Tableau, Word, _pruned_fillings, _tableaux_of, reading_by_order
 # not used here; kept as lr.enumerate_ssyt, a name the perfbench tracer test patches
 from .tableaux import enumerate_ssyt  # noqa: F401
 
@@ -98,70 +95,17 @@ def _read_and_add(tab: Tableau, lam: Partition,
     return word, add_sequence(lam, word.letters)
 
 
-def _pruned_fillings(mu: Partition, lam: Partition, order: TotalOrder | None,
-                     rank_bound: int, cap: Partition | None
-                     ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Semistandard fillings of mu whose reading adds onto lam box by box.
-
-    Fills the cells in the order's listing (the row reading by default).
-    An admissible listing puts a cell's right neighbour and the cell
-    above it first, so each entry v is bounded by those two: above + 1 <=
-    v <= min(right, rank_bound).  The box of v goes onto row v of lam at
-    once, and the branch is cut when row v would outgrow row v - 1 or,
-    given a cap, the cap's row v.  Each filling comes back as its entries
-    in row-major cell order paired with the row lengths it adds up to
-    (rank_bound of them), in no particular order.
-    """
-    if order is None:
-        order = TotalOrder.jay(cells(mu))
-    else:
-        _check_reading_order(order, mu)
-    flat = {cell: k for k, cell in enumerate(cells(mu))}
-    steps = [(flat[(i, j)], flat.get((i, j + 1), -1), flat.get((i - 1, j), -1))
-             for i, j in order.cells]
-    unbounded = mu.size + lam.size + 1
-    # rows[v] is the current length of row v; rows[0] never binds
-    rows = [unbounded] + [lam.part(v) for v in range(1, rank_bound + 1)]
-    limit = [unbounded] + [unbounded if cap is None else cap.part(v)
-                           for v in range(1, rank_bound + 1)]
-    entries = [0] * len(flat)
-    found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-
-    def place(k: int) -> None:
-        if k == len(steps):
-            found.append((tuple(entries), tuple(rows[1:])))
-            return
-        cell, right, above = steps[k]
-        low = 1 if above < 0 else entries[above] + 1
-        high = rank_bound if right < 0 else entries[right]
-        for v in range(low, high + 1):
-            length = rows[v] + 1
-            if length > rows[v - 1] or length > limit[v]:
-                continue
-            rows[v] = length
-            entries[cell] = v
-            place(k + 1)
-            rows[v] = length - 1
-
-    place(0)
-    return found
-
-
 def lr_filter(inst: LRInstance, order: TotalOrder | None = None) -> tuple[Tableau, ...]:
     """Tableaux over mu whose reading adds onto lam box by box, ending at nu.
 
     The reading defaults to the row reading; any admissible order on the
-    cells of mu may be passed instead.  The search fills mu along that
-    reading and adds each box to lam as it is placed, so a filling that
-    leaves the partitions or outgrows nu is cut at its first bad box and
-    no failing tableau is ever built.  Output is in lexicographic
-    row-major order, whatever the reading.
+    cells of mu may be passed instead.  The filling search runs along that
+    reading with nu as the cap, so it cuts a filling that leaves the
+    partitions or outgrows nu at its first bad box.  Output is in
+    lexicographic row-major order, whatever the reading.
     """
-    fillings = sorted(entries for entries, _ in _pruned_fillings(
-        inst.mu, inst.lam, order, inst.rank_bound, inst.nu))
-    bounds = list(accumulate(inst.mu.parts, initial=0))
-    return tuple(Tableau(inst.mu, tuple(entries[a:b] for a, b in zip(bounds, bounds[1:])))
-                 for entries in fillings)
+    return _tableaux_of(inst.mu, _pruned_fillings(inst.mu, inst.lam, order,
+                                                  inst.rank_bound, inst.nu))
 
 
 def _in_lr_crystal(tab: Tableau, inst: LRInstance) -> bool:
@@ -309,8 +253,8 @@ def decompose_tensor(lam: Partition, mu: Partition, rank_bound: int,
 
     Both input shapes must have strictly fewer rows than rank_bound;
     entries are at most rank_bound, so every final shape has at most
-    rank_bound rows.  The reading defaults to the row reading.  Uses the
-    crystal filter's pruned search with no target shape.
+    rank_bound rows.  The reading defaults to the row reading.  Runs the
+    filling search of the crystal filter with no cap.
     """
     if len(lam) > rank_bound - 1 or len(mu) > rank_bound - 1:
         raise RankTooSmall(
@@ -322,7 +266,7 @@ def decompose_tensor(lam: Partition, mu: Partition, rank_bound: int,
 
 
 def lr_coefficient_lattice(inst: LRInstance) -> int:
-    """Count lattice-word fillings of the skew shape by direct backtracking.
+    """Count lattice-word fillings of the skew shape by a backtracking loop.
 
     Fills the skew cells of nu over lam in reverse row-reading order with
     content mu, keeping rows weakly increasing, columns strictly
@@ -332,38 +276,38 @@ def lr_coefficient_lattice(inst: LRInstance) -> int:
     picture paths is the point of this oracle.
     """
     nu, lam, mu = inst.nu.parts, inst.lam.parts, inst.mu.parts
-    fill_order: list[tuple[int, int]] = []
-    for i in range(len(nu)):
-        inner = lam[i] if i < len(lam) else 0
-        for j in range(nu[i], inner, -1):
-            fill_order.append((i, j))
-    quota = list(mu)
+    fill_order = [(i, j) for i in range(len(nu))
+                  for j in range(nu[i], lam[i] if i < len(lam) else 0, -1)]
+    step_of = {cell: t for t, cell in enumerate(fill_order)}
+    # the already filled neighbours above and to the right of each cell
+    neighbours = [(step_of.get((i - 1, j)), step_of.get((i, j + 1))) for i, j in fill_order]
     placed = [0] * (len(mu) + 1)
-    filling: dict[tuple[int, int], int] = {}
+    letters = [0] * len(fill_order)  # 0 while a cell is unfilled
     total = 0
-
-    def extend(t: int) -> None:
-        nonlocal total
+    t = 0
+    while t >= 0:
         if t == len(fill_order):
             total += 1
-            return
-        i, j = fill_order[t]
-        above = filling.get((i - 1, j))
-        right = filling.get((i, j + 1))
-        low = 1 if above is None else above + 1
-        high = len(quota) if right is None else right
-        for v in range(low, high + 1):
-            if placed[v] >= quota[v - 1]:
-                continue
-            if v > 1 and placed[v - 1] <= placed[v]:
-                continue
-            placed[v] += 1
-            filling[(i, j)] = v
-            extend(t + 1)
-            del filling[(i, j)]
+            t -= 1
+            continue
+        above, right = neighbours[t]
+        v = letters[t]
+        if v:
             placed[v] -= 1
-
-    extend(0)
+        elif above is not None:
+            v = letters[above]
+        high = len(mu) if right is None else letters[right]
+        v += 1
+        while v <= high and (placed[v] >= mu[v - 1]
+                             or v > 1 and placed[v - 1] <= placed[v]):
+            v += 1
+        if v > high:
+            letters[t] = 0
+            t -= 1
+        else:
+            placed[v] += 1
+            letters[t] = v
+            t += 1
     return total
 
 

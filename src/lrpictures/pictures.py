@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .shapes import Cell, Partition, SkewShape, cells
 
@@ -62,7 +62,8 @@ def leq_F(a: Cell, b: Cell) -> bool:
 
 
 def _must_precede(a: Cell, b: Cell) -> bool:
-    """a must be listed before b in every admissible order."""
+    """a must be listed before b in every admissible order: exactly when a != b
+    and (a[0], -a[1]) is componentwise below (b[0], -b[1]), as standardness tests."""
     return a != b and a[0] <= b[0] and a[1] >= b[1]
 
 
@@ -110,15 +111,10 @@ def is_admissible_order(order: TotalOrder) -> bool:
     """Check that every constrained cell pair respects the listing.
 
     The constraint: a cell must come strictly before any distinct cell
-    that sits weakly below it and weakly to its left.
+    that sits weakly below it and weakly to its left, which is
+    standardness of the identity map with each source (r, c) at (r, -c).
     """
-    listing = order.cells
-    position = order.positions
-    for a in listing:
-        for b in listing:
-            if _must_precede(a, b) and position[a] >= position[b]:
-                return False
-    return True
+    return is_standard({(r, -c): (r, c) for r, c in order.cells}, order)
 
 
 def enumerate_admissible_orders(cell_set: Iterable[Cell],
@@ -146,20 +142,21 @@ def _admissible_orders(todo: tuple[Cell, ...]) -> tuple[TotalOrder, ...]:
     out: list[TotalOrder] = []
     listing: list[Cell] = []
     placed: set[Cell] = set()
-
-    def extend() -> None:
+    # one scan of todo per listed cell, so stepping back resumes after the cell listed
+    levels = [iter(todo)]
+    while levels:
         if len(listing) == len(todo):
             out.append(TotalOrder(tuple(listing)))
-            return
-        for candidate in todo:
+        for candidate in levels[-1]:
             if candidate not in placed and predecessors[candidate] <= placed:
                 listing.append(candidate)
                 placed.add(candidate)
-                extend()
-                placed.discard(candidate)
-                listing.pop()
-
-    extend()
+                levels.append(iter(todo))
+                break
+        else:
+            levels.pop()
+            if listing:
+                placed.discard(listing.pop())
     return tuple(out)
 
 
@@ -291,24 +288,30 @@ def enumerate_pictures(mu: Partition, skew_shape: SkewShape,
     assigned: dict[Cell, Cell] = {}
     used: set[Cell] = set()
     found: list[Picture] = []
-
-    def place(t: int) -> None:
+    # windows[t]: the images source t has yet to try, resumed after each pick
+    windows: list[Iterator[Cell]] = [iter(())] * len(sources)
+    t = 0
+    while t >= 0:
         if t == len(sources):
             found.append(Picture(tuple(assigned.items())))
-            return
+            t -= 1
+            continue
         x = i, j = sources[t]
-        # forward standardness, neighbour by neighbour
-        before = [position[assigned[y]] for y in ((i - 1, j), (i, j - 1)) if y in assigned]
-        after = [position[assigned[y]] for y in ((i + 1, j), (i, j + 1)) if y in assigned]
-        for u in listing[max(before, default=-1) + 1:min(after, default=len(listing))]:
+        if x in assigned:
+            used.discard(assigned.pop(x))
+        else:
+            # forward standardness, neighbour by neighbour
+            before = [position[assigned[y]] for y in ((i - 1, j), (i, j - 1)) if y in assigned]
+            after = [position[assigned[y]] for y in ((i + 1, j), (i, j + 1)) if y in assigned]
+            windows[t] = iter(listing[max(before, default=-1) + 1:
+                                      min(after, default=len(listing))])
+        for u in windows[t]:
             # inverse standardness: the taken targets stay a down-set
-            if u in used or any(v not in used for v in upper_left[u]):
-                continue
-            assigned[x] = u
-            used.add(u)
-            place(t + 1)
-            del assigned[x]
-            used.discard(u)
-
-    place(0)
+            if u not in used and used.issuperset(upper_left[u]):
+                assigned[x] = u
+                used.add(u)
+                t += 1
+                break
+        else:
+            t -= 1
     return tuple(sorted(found, key=lambda picture: picture.pairs))

@@ -7,12 +7,15 @@ horizontal strip, rows weakly increase along that listing.  A reading
 lists all entries along a total order on the cells; the row reading and
 the column reading are the two built-in cases, and any admissible order
 gives a reading via reading_by_order.
+
+The package's one semistandard-filling search, _pruned_fillings, is here too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .pictures import OrderCellMismatch, OrderNotAdmissible, TotalOrder
@@ -112,36 +115,84 @@ def make_tableau(shape: Partition, rows: Iterable[Sequence[int]]) -> Tableau:
     return Tableau(shape, tuple(tuple(row) for row in rows))
 
 
+def _pruned_fillings(mu: Partition, lam: Partition, order: TotalOrder | None,
+                     rank_bound: int, cap: Partition | None
+                     ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Semistandard fillings of mu whose reading adds onto lam box by box.
+
+    Fills the cells in the order's listing (the row reading by default).
+    An admissible listing puts a cell's right neighbour and the cell
+    above it first, so each entry v is bounded by those two: above + 1 <=
+    v <= min(right, rank_bound).  The box of v goes onto row v of lam at
+    once, and the branch is cut when row v would outgrow row v - 1 or,
+    given a cap, the cap's row v.  Each filling comes back, in depth-first
+    order, as its entries in row-major cell order paired with the row
+    lengths it adds up to (rank_bound of them).  An entry of 0 marks an
+    unplaced cell, so the cursor k steps back to a cell and resumes just
+    past its entry.
+    """
+    if order is None:
+        order = TotalOrder.jay(cells(mu))
+    else:
+        _check_reading_order(order, mu)
+    flat = {cell: k for k, cell in enumerate(cells(mu))}
+    steps = [(flat[(i, j)], flat.get((i, j + 1), -1), flat.get((i - 1, j), -1))
+             for i, j in order.cells]
+    unbounded = mu.size + lam.size + 1
+    # rows[v] is the current length of row v; rows[0] never binds
+    rows = [unbounded] + [lam.part(v) for v in range(1, rank_bound + 1)]
+    limit = [unbounded] + [unbounded if cap is None else cap.part(v)
+                           for v in range(1, rank_bound + 1)]
+    entries = [0] * len(flat)
+    found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    k = 0
+    while k >= 0:
+        if k == len(steps):
+            found.append((tuple(entries), tuple(rows[1:])))
+            k -= 1
+            continue
+        cell, right, above = steps[k]
+        v = entries[cell]
+        if v:
+            rows[v] -= 1
+        elif above >= 0:
+            v = entries[above]
+        high = rank_bound if right < 0 else entries[right]
+        v += 1
+        while v <= high and (rows[v] >= rows[v - 1] or rows[v] >= limit[v]):
+            v += 1
+        if v > high:
+            entries[cell] = 0
+            k -= 1
+        else:
+            rows[v] += 1
+            entries[cell] = v
+            k += 1
+    return found
+
+
+def _tableaux_of(shape: Partition, fillings: list[tuple[tuple[int, ...], tuple[int, ...]]]
+                 ) -> tuple[Tableau, ...]:
+    """The tableaux of the shape's fillings, in lexicographic row-major order."""
+    bounds = list(accumulate(shape.parts, initial=0))
+    spans = list(zip(bounds, bounds[1:]))
+    return tuple(Tableau(shape, tuple([entries[a:b] for a, b in spans]))
+                 for entries in sorted([entries for entries, _ in fillings]))
+
+
 @lru_cache(maxsize=None)
 def enumerate_ssyt(shape: Partition, max_entry: int) -> tuple[Tableau, ...]:
     """All semistandard tableaux of the shape with entries at most max_entry.
 
     Output order is lexicographic by row-major entry sequence, which makes
     downstream listings reproducible.  A bound below the number of rows
-    leaves nothing to enumerate.
+    leaves nothing to enumerate.  The filling search runs onto a lam whose
+    rows lie |shape| + 1 boxes apart: no row can catch up, so nothing is cut.
     """
     if len(shape) > max_entry:
         return ()
-    order = cells(shape)
-    grid = [[0] * p for p in shape.parts]
-    out: list[Tableau] = []
-
-    def fill(k: int) -> None:
-        if k == len(order):
-            out.append(Tableau(shape, tuple(tuple(row) for row in grid)))
-            return
-        i, j = order[k]
-        low = 1
-        if j > 1:
-            low = max(low, grid[i - 1][j - 2])
-        if i > 1:
-            low = max(low, grid[i - 2][j - 1] + 1)
-        for value in range(low, max_entry + 1):
-            grid[i - 1][j - 1] = value
-            fill(k + 1)
-
-    fill(0)
-    return tuple(out)
+    lam = Partition(tuple((shape.size + 1) * v for v in reversed(range(max_entry))))
+    return _tableaux_of(shape, _pruned_fillings(shape, lam, None, max_entry, None))
 
 
 def level_set(tab: Tableau, k: int) -> tuple[Cell, ...]:

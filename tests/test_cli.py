@@ -211,6 +211,26 @@ def test_sweep_failure_exit_code(capsys, monkeypatch):
     assert "status=fail" in out
 
 
+ROW = ["--lambda", "-", "--mu", "1200", "--nu", "1200"]
+
+
+# one row of 1200 cells is past Python's default recursion limit, so each
+# search on these paths must run as a loop
+@pytest.mark.parametrize("argv, last", [
+    (["count", *ROW], "pictures=1 crystals=1 lattice=1"),
+    (["verify", *ROW], "bijection=ok"),
+    (["verify", "--mu", "1200", "--rank", "2"], "embedding=ok"),
+    (["decompose", "--lambda", "-", "--mu", "1200", "--rank", "2"], "nu=1200 multiplicity=1"),
+    (["orders", "--mu", "1200"], "total=1"),
+    (["conjecture", *ROW], "rows=1 holds=1 fails=0"),
+], ids=["count", "verify", "verify-embedding", "decompose", "orders", "conjecture"])
+def test_a_row_of_1200_cells(capsys, argv, last):
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert err == ""
+    assert out.splitlines()[-1] == last
+
+
 def test_usage_errors(capsys):
     assert run(capsys, )[0] == 2
     assert run(capsys, "frobnicate")[0] == 2

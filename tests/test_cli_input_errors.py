@@ -28,12 +28,12 @@ def test_order_index_must_be_decimal(capsys):
     assert "bad order index" in err
 
 
-def test_too_deep_a_search_is_an_input_error(capsys):
-    code, out, err = run(capsys, "count", "--lambda", "-", "--mu", "1200", "--nu", "1200")
+@pytest.mark.parametrize("verb", ["sweep", "conjecture"])
+def test_a_negative_max_size_is_an_input_error(capsys, verb):
+    code, out, err = run(capsys, verb, "--max-size", "-1")
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ")
-    assert "Traceback" not in err
+    assert err == "error: --max-size must be nonnegative\n"
 
 
 @pytest.mark.parametrize("argv, flag", [

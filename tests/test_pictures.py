@@ -104,6 +104,76 @@ def test_admissible_orders_match_permutation_filter():
         assert len(set(listed)) == len(listed)
 
 
+def reference_must_precede(a, b):
+    return a != b and a[0] <= b[0] and a[1] >= b[1]
+
+
+def reference_is_admissible_order(order):
+    """The pair loop is_admissible_order ran before it tested standardness."""
+    position = order.positions
+    return not any(reference_must_precede(a, b) and position[a] >= position[b]
+                   for a in order.cells for b in order.cells)
+
+
+def reference_admissible_orders(cell_set):
+    """The recursive extender _admissible_orders ran before it became a loop."""
+    todo = tuple(sorted(set(cell_set)))
+    predecessors = {b: {a for a in todo if reference_must_precede(a, b)} for b in todo}
+    out, listing, placed = [], [], set()
+
+    def extend():
+        if len(listing) == len(todo):
+            out.append(TotalOrder(tuple(listing)))
+            return
+        for candidate in todo:
+            if candidate not in placed and predecessors[candidate] <= placed:
+                listing.append(candidate)
+                placed.add(candidate)
+                extend()
+                placed.discard(candidate)
+                listing.pop()
+
+    extend()
+    return tuple(out)
+
+
+def skew_cell_sets(max_size):
+    """The cells of nu / lam for every lam inside every nu with |nu| <= max_size;
+    lam = () gives every straight shape."""
+    return [skew(nu, lam).cells() for total in range(max_size + 1)
+            for nu in partitions_of(total) for lam in subpartitions(nu)]
+
+
+def test_admissible_orders_match_the_recursive_reference_order_included():
+    for cell_set in skew_cell_sets(7):
+        assert enumerate_admissible_orders(cell_set) == reference_admissible_orders(cell_set)
+
+
+def test_admissibility_matches_the_pair_loop_on_every_listing():
+    for cell_set in skew_cell_sets(5):
+        for listing in permutations(cell_set):
+            order = TotalOrder(listing)
+            assert is_admissible_order(order) == reference_is_admissible_order(order)
+
+
+signed_coordinates = st.one_of(st.integers(-4, 4), st.integers(-10**9, 10**9))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_admissibility_matches_the_pair_loop_on_sparse_cells(data):
+    listing = data.draw(st.lists(st.tuples(signed_coordinates, signed_coordinates),
+                                 max_size=9, unique=True))
+    if data.draw(st.booleans()):
+        # the row reading is admissible; one swap may break it
+        listing.sort(key=lambda cell: (cell[0], -cell[1]))
+        if len(listing) > 1 and data.draw(st.booleans()):
+            k = data.draw(st.integers(0, len(listing) - 2))
+            listing[k], listing[k + 1] = listing[k + 1], listing[k]
+    order = TotalOrder(tuple(listing))
+    assert is_admissible_order(order) == reference_is_admissible_order(order)
+
+
 def test_standardness_of_a_tiny_map():
     codomain = TotalOrder.jay(cells(Partition((2,))))
     assert is_standard({(1, 1): (1, 2), (1, 2): (1, 1)}, codomain)

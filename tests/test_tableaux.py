@@ -180,3 +180,39 @@ def test_enumeration_counts_match_brute_force(shape, max_entry):
         if _is_semistandard(choice, max_entry):
             total += 1
     assert len(enumerate_ssyt(shape, max_entry)) == total
+
+
+def reference_enumerate_ssyt(shape, max_entry):
+    """The recursive row-major fill enumerate_ssyt ran before it shared the
+    crystal filter's search: each cell takes every value from its lower
+    bound up, so tableaux come out in lexicographic row-major order."""
+    if len(shape) > max_entry:
+        return ()
+    order = cells(shape)
+    grid = [[0] * p for p in shape.parts]
+    out = []
+
+    def fill(k):
+        if k == len(order):
+            out.append(Tableau(shape, tuple(tuple(row) for row in grid)))
+            return
+        i, j = order[k]
+        low = 1
+        if j > 1:
+            low = max(low, grid[i - 1][j - 2])
+        if i > 1:
+            low = max(low, grid[i - 2][j - 1] + 1)
+        for value in range(low, max_entry + 1):
+            grid[i - 1][j - 1] = value
+            fill(k + 1)
+
+    fill(0)
+    return tuple(out)
+
+
+def test_enumeration_matches_the_recursive_row_major_reference():
+    for total in range(9):
+        for shape in partitions_of(total):
+            for max_entry in range(-1, 7):
+                assert (enumerate_ssyt.__wrapped__(shape, max_entry)
+                        == reference_enumerate_ssyt(shape, max_entry))
