@@ -15,13 +15,17 @@ in the listing order, and the same must hold for the inverse map.
 is_standard and is_picture check it by prefix maxima.  enumerate_pictures uses
 two local rules, exact because partitions and skew shapes are convex:
 adjacent sources map in listing order, and the taken targets form a down-set.
+It keeps the free targets that keep the down-set (the frontier) as a bit
+mask, updated in constant time as a target is taken or freed, and cuts a
+candidate when too few free targets lie before or after it for the
+sources still to come that must map there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .shapes import Cell, Partition, SkewShape, cells
 
@@ -264,7 +268,22 @@ def enumerate_pictures(mu: Partition, skew_shape: SkewShape,
     image must follow the images of the placed neighbours above and left,
     precede those below and right, and find the skew cells above and left
     of it taken.  Both shapes are convex, so these constant-time tests are
-    exactly the two standardness conditions.  Output is sorted by pair list.
+    exactly the two standardness conditions.
+
+    The targets passing the second test form the frontier, a bit mask
+    over codomain positions: taking a target removes it and adds each
+    neighbour below or right of it whose cells above and left are now
+    all taken, and freeing it undoes that.  Each source tries the
+    frontier bits inside its window of the first test in increasing
+    position, and stepping back resumes after its current choice.  A
+    count cuts what cannot complete: if before[t] later-listed sources
+    lie componentwise below source t and after[t] above it, forward
+    standardness puts their images at distinct positions before and
+    after t's image, so position q needs at least before[t] free positions
+    below it and after[t] above it.  That holds for any listing, so the
+    cut loses no picture, and it stops a level at the first q with too
+    few above, since that number only falls as q grows.  Output is sorted
+    by pair list.
     """
     sources_rowmajor = cells(mu)
     targets = skew_shape.cells()
@@ -283,35 +302,79 @@ def enumerate_pictures(mu: Partition, skew_shape: SkewShape,
     sources = domain_order.cells
     listing = codomain_order.cells
     position = codomain_order.positions
-    upper_left = {(a, b): [v for v in ((a - 1, b), (a, b - 1)) if v in position]
-                  for a, b in listing}
-    assigned: dict[Cell, Cell] = {}
-    used: set[Cell] = set()
+    n = len(listing)
+    index = {x: t for t, x in enumerate(sources)}
+    # source t's neighbours above, left, below and right, by index; n stands for none
+    nbrs = [(index.get((i - 1, j), n), index.get((i, j - 1), n),
+             index.get((i + 1, j), n), index.get((i, j + 1), n)) for i, j in sources]
+    # the later sources that must map before (before[t]) and after (after[t]) source t
+    before = [0] * n
+    after = [0] * n
+    for t, (i, j) in enumerate(sources):
+        for a, b in sources[t + 1:]:
+            if a <= i and b <= j:
+                before[t] += 1
+            elif a >= i and b >= j:
+                after[t] += 1
+    # need[q]: the skew cells above and left of position q, as bits; taking q
+    # may open the positions opens[q] below and right of it, and freeing q closes them
+    need = [0] * n
+    opens: list[list[int]] = [[] for _ in listing]
+    closes = [0] * n
+    for q, (a, b) in enumerate(listing):
+        for v in ((a + 1, b), (a, b + 1)):
+            if v in position:
+                p = position[v]
+                need[p] |= 1 << q
+                opens[q].append(p)
+                closes[q] |= 1 << p
+    used = 0
+    frontier = sum(1 << q for q in range(n) if not need[q])
+    # images[t]: the position source t maps to, -1 while unplaced; images[n], read for
+    # a missing neighbour, stays -1
+    images = [-1] * (n + 1)
+    # choices[t]: the frontier positions source t has yet to try
+    choices = [0] * n
     found: list[Picture] = []
-    # windows[t]: the images source t has yet to try, resumed after each pick
-    windows: list[Iterator[Cell]] = [iter(())] * len(sources)
     t = 0
     while t >= 0:
-        if t == len(sources):
-            found.append(Picture(tuple(assigned.items())))
+        if t == n:
+            found.append(Picture(tuple((x, listing[q]) for x, q in zip(sources, images))))
             t -= 1
             continue
-        x = i, j = sources[t]
-        if x in assigned:
-            used.discard(assigned.pop(x))
+        q = images[t]
+        if q >= 0:
+            used ^= 1 << q
+            frontier = (frontier | 1 << q) & ~closes[q]
         else:
-            # forward standardness, neighbour by neighbour
-            before = [position[assigned[y]] for y in ((i - 1, j), (i, j - 1)) if y in assigned]
-            after = [position[assigned[y]] for y in ((i + 1, j), (i, j + 1)) if y in assigned]
-            windows[t] = iter(listing[max(before, default=-1) + 1:
-                                      min(after, default=len(listing))])
-        for u in windows[t]:
-            # inverse standardness: the taken targets stay a down-set
-            if u not in used and used.issuperset(upper_left[u]):
-                assigned[x] = u
-                used.add(u)
-                t += 1
-                break
+            # forward standardness against the placed neighbours; later ones read -1
+            up, left, down, right = nbrs[t]
+            low = images[up] if images[up] > images[left] else images[left]
+            high = images[down] if images[down] >= 0 else n
+            if 0 <= images[right] < high:
+                high = images[right]
+            choices[t] = frontier & ((1 << high) - (1 << low + 1)) if low < high else 0
+        rest = choices[t]
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            q = bit.bit_length() - 1
+            # the later sources that must map below and above t need free positions there
+            if q - (used & (bit - 1)).bit_count() < before[t]:
+                continue
+            if n - 1 - q - (used >> q).bit_count() < after[t]:
+                rest = 0  # the free positions above only shrink as q grows
+                continue
+            used |= bit
+            frontier ^= bit
+            for p in opens[q]:
+                if used & need[p] == need[p]:
+                    frontier |= 1 << p
+            choices[t] = rest
+            images[t] = q
+            t += 1
+            break
         else:
+            images[t] = -1
             t -= 1
     return tuple(sorted(found, key=lambda picture: picture.pairs))

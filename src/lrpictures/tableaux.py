@@ -13,6 +13,7 @@ The package's one semistandard-filling search, _pruned_fillings, is here too.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -122,8 +123,9 @@ def _pruned_fillings(mu: Partition, lam: Partition, order: TotalOrder | None,
 
     Fills the cells in the order's listing (the row reading by default).
     An admissible listing puts a cell's right neighbour and the cell
-    above it first, so each entry v is bounded by those two: above + 1 <=
-    v <= min(right, rank_bound).  The box of v goes onto row v of lam at
+    above it first, so each entry v is bounded by those two and by the
+    cells below it, which need distinct larger entries: above + 1 <= v <=
+    min(right, rank_bound - cells below).  The box of v goes onto row v of lam at
     once, and the branch is cut when row v would outgrow row v - 1 or,
     given a cap, the cap's row v.  Each filling comes back, in depth-first
     order, as its entries in row-major cell order paired with the row
@@ -136,8 +138,11 @@ def _pruned_fillings(mu: Partition, lam: Partition, order: TotalOrder | None,
     else:
         _check_reading_order(order, mu)
     flat = {cell: k for k, cell in enumerate(cells(mu))}
-    steps = [(flat[(i, j)], flat.get((i, j + 1), -1), flat.get((i - 1, j), -1))
-             for i, j in order.cells]
+    # column j has one cell per part >= j, counted by bisecting the negated
+    # parts, so a cell (i, j) has that count minus i cells below it
+    negated = [-part for part in mu.parts]
+    steps = [(flat[(i, j)], flat.get((i, j + 1), -1), flat.get((i - 1, j), -1),
+              rank_bound - bisect_right(negated, -j) + i) for i, j in order.cells]
     unbounded = mu.size + lam.size + 1
     # rows[v] is the current length of row v; rows[0] never binds
     rows = [unbounded] + [lam.part(v) for v in range(1, rank_bound + 1)]
@@ -151,13 +156,14 @@ def _pruned_fillings(mu: Partition, lam: Partition, order: TotalOrder | None,
             found.append((tuple(entries), tuple(rows[1:])))
             k -= 1
             continue
-        cell, right, above = steps[k]
+        cell, right, above, high = steps[k]
         v = entries[cell]
         if v:
             rows[v] -= 1
         elif above >= 0:
             v = entries[above]
-        high = rank_bound if right < 0 else entries[right]
+        if right >= 0 and entries[right] < high:
+            high = entries[right]
         v += 1
         while v <= high and (rows[v] >= rows[v - 1] or rows[v] >= limit[v]):
             v += 1

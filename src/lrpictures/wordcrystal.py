@@ -9,7 +9,8 @@ operator killing the element.
 
 The only consumer in this package is verify_embedding, which checks that
 reading tableaux along an admissible order gives a set of words closed
-under both operators; it checks the order and each word once.
+under both operators; it checks the order and each word once, and gets
+every index's operators on a word from one signature scan.
 """
 
 from __future__ import annotations
@@ -60,13 +61,40 @@ def _survivors(letters: tuple[int, ...], i: int) -> tuple[list[int], list[int]]:
     return plus, minus
 
 
+def _signature_ends(letters: tuple[int, ...], max_letter: int
+                    ) -> tuple[list[int], list[int]]:
+    """Every index's leftmost uncancelled plus and rightmost uncancelled
+    minus, -1 where none survives, from one pass over letters in 1..max_letter.
+
+    Letter a is a plus of index a and a minus of index a - 1.  Per index, a
+    count of unmatched pluses and the position of the lowest of them stand
+    for the stack of _survivors.
+    """
+    unmatched = [0] * (max_letter + 1)
+    plus = [-1] * (max_letter + 1)
+    minus = [-1] * (max_letter + 1)
+    for k, a in enumerate(letters):
+        if unmatched[a - 1]:
+            unmatched[a - 1] -= 1
+        else:
+            minus[a - 1] = k
+        if not unmatched[a]:
+            plus[a] = k
+        unmatched[a] += 1
+    return [k if count else -1 for k, count in zip(plus, unmatched)], minus
+
+
+def _replaced(letters: tuple[int, ...], k: int, letter: int) -> tuple[int, ...] | None:
+    """The letters with position k set to letter, or None for k = -1."""
+    return letters[:k] + (letter,) + letters[k + 1:] if k >= 0 else None
+
+
 def _lower_and_raise(letters: tuple[int, ...], i: int
                      ) -> tuple[tuple[int, ...] | None, tuple[int, ...] | None]:
     """Both operators' results on checked letters, from one signature scan."""
     plus, minus = _survivors(letters, i)
-    lowered = letters[:plus[0]] + (i + 1,) + letters[plus[0] + 1:] if plus else None
-    raised = letters[:minus[-1]] + (i,) + letters[minus[-1] + 1:] if minus else None
-    return lowered, raised
+    return (_replaced(letters, plus[0] if plus else -1, i + 1),
+            _replaced(letters, minus[-1] if minus else -1, i))
 
 
 def lowering_operator(word: Sequence[int], i: int,
@@ -99,8 +127,10 @@ def verify_embedding(shape: Partition, max_entry: int,
     image = {_letters_along(tab, order) for tab in enumerate_ssyt(shape, max_entry)}
     for word in sorted(image):
         _check_letters(word, max_entry)
+        plus, minus = _signature_ends(word, max_entry)
         for i in range(1, max_entry):
-            for name, result in zip(("lowering", "raising"), _lower_and_raise(word, i)):
+            for name, result in (("lowering", _replaced(word, plus[i], i + 1)),
+                                 ("raising", _replaced(word, minus[i], i))):
                 if result is not None and result not in image:
                     return EmbeddingReport(False, {
                         "word": list(word),

@@ -231,6 +231,12 @@ def test_a_row_of_1200_cells(capsys, argv, last):
     assert out.splitlines()[-1] == last
 
 
+def test_a_column_of_60_cells(capsys):
+    code, out, err = run(capsys, "verify", "--mu", ",".join(["1"] * 60), "--rank", "60")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "embedding=ok"
+
+
 def test_usage_errors(capsys):
     assert run(capsys, )[0] == 2
     assert run(capsys, "frobnicate")[0] == 2

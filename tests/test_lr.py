@@ -417,6 +417,13 @@ def test_the_c1624_staircase_instance():
     assert (report.pictures, report.crystals, report.lattice) == (1624, 1624, 1624)
 
 
+def test_a_three_row_pieri_instance_with_150_cells():
+    report = verify_bijection(LRInstance(Partition((100, 50)), Partition((150,)),
+                                         Partition((180, 70, 50))))
+    assert report.ok
+    assert (report.pictures, report.crystals, report.lattice) == (1, 1, 1)
+
+
 def reference_psi_pairs(tab, lam):
     """psi's pairs by definition: each cell goes to row value, column
     lam's row plus p_function of the cell."""

@@ -1,0 +1,98 @@
+"""Checks that the three counts could fail together: closed-form Pieri and
+dual Pieri coefficients past the exhaustive sweep, and the swap and
+conjugation symmetries, which both maps treat asymmetrically.
+
+References: Macdonald, Symmetric Functions and Hall Polynomials, I.5.16;
+Fulton, Young Tableaux, section 2.
+"""
+
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from lrpictures.lr import LRInstance, iter_instances, lr_coefficient_lattice, lr_filter
+from lrpictures.pictures import enumerate_pictures
+from lrpictures.shapes import Partition
+
+
+def conjugate(shape):
+    """The transposed diagram: part j counts the parts of shape that are >= j."""
+    return Partition(tuple(sum(1 for p in shape.parts if p >= j)
+                           for j in range(1, shape.part(1) + 1)))
+
+
+def is_horizontal_strip(nu, lam):
+    """nu / lam has at most one box in each column."""
+    return all(nu.part(i + 1) <= lam.part(i) for i in range(1, len(nu)))
+
+
+def is_vertical_strip(nu, lam):
+    """nu / lam has at most one box in each row."""
+    return all(nu.part(i) - lam.part(i) <= 1 for i in range(1, len(nu) + 1))
+
+
+@st.composite
+def row_shapes(draw):
+    """lam with at most two rows and nu containing it with at most two rows
+    more, |nu / lam| between 1 and 150; about half of them are drawn as
+    horizontal strips."""
+    lam = Partition(tuple(sorted(draw(st.lists(st.integers(0, 60), max_size=2)),
+                                 reverse=True)))
+    strip = draw(st.booleans())
+    parts = []
+    for i in range(1, len(lam) + 3):
+        if i == 1:
+            room = 150
+        elif strip:
+            room = lam.part(i - 1) - lam.part(i)
+        else:
+            room = parts[-1] - lam.part(i)
+        parts.append(lam.part(i) + draw(st.integers(0, room)))
+    nu = Partition(tuple(parts))
+    assume(0 < nu.size - lam.size <= 150)
+    return lam, nu
+
+
+def counts(inst):
+    return (len(enumerate_pictures(inst.mu, inst.skew_shape)), len(lr_filter(inst)),
+            lr_coefficient_lattice(inst))
+
+
+# the largest cases: 150 cells, a horizontal strip and not one
+LARGE = ((Partition((60, 30)), Partition((150, 60, 30))),
+         (Partition((60, 30)), Partition((150, 70, 20))))
+
+
+@settings(max_examples=25, deadline=None)
+@given(row_shapes())
+@example(LARGE[0])
+@example(LARGE[1])
+def test_pieri_rule_one_row(shapes):
+    lam, nu = shapes
+    inst = LRInstance(lam, Partition((nu.size - lam.size,)), nu)
+    expected = 1 if is_horizontal_strip(nu, lam) else 0
+    assert counts(inst) == (expected,) * 3
+
+
+@settings(max_examples=25, deadline=None)
+@given(row_shapes())
+@example(LARGE[0])
+@example(LARGE[1])
+def test_dual_pieri_rule_one_column(shapes):
+    lam, nu = map(conjugate, shapes)
+    inst = LRInstance(lam, Partition((1,) * (nu.size - lam.size)), nu)
+    expected = 1 if is_vertical_strip(nu, lam) else 0
+    assert counts(inst) == (expected,) * 3
+
+
+def test_swap_and_conjugation_symmetries_up_to_size_eight():
+    pictures, crystals = {}, {}
+    for inst in iter_instances(8):
+        key = inst.lam, inst.mu, inst.nu
+        pictures[key] = len(enumerate_pictures(inst.mu, inst.skew_shape))
+        crystals[key] = len(lr_filter(inst))
+    for table in (pictures, crystals):
+        for (lam, mu, nu), c in table.items():
+            # mu outside nu makes the swapped instance invalid and c zero
+            assert table.get((mu, lam, nu), 0) == c
+            assert table[conjugate(lam), conjugate(mu), conjugate(nu)] == c
+    assert max(pictures.values()) == 2

@@ -452,3 +452,106 @@ def test_staircase_instance_without_pictures():
     inst = LRInstance(stair, stair, Partition((10, 9, 5, 3, 2, 1)))
     assert enumerate_pictures(inst.mu, inst.skew_shape) == ()
     assert lr_coefficient_lattice(inst) == 0
+
+
+def reference_window_pictures(mu, skew_shape, domain_order, codomain_order):
+    """The window-scan loop enumerate_pictures ran before it kept a frontier
+    and a counting cut: each level scans every codomain cell between the
+    images of the placed neighbours for a free cell whose skew cells above
+    and left are taken."""
+    sources = domain_order.cells
+    listing = codomain_order.cells
+    position = codomain_order.positions
+    upper_left = {(a, b): [v for v in ((a - 1, b), (a, b - 1)) if v in position]
+                  for a, b in listing}
+    assigned, used, found = {}, set(), []
+    windows = [iter(())] * len(sources)
+    t = 0
+    while t >= 0:
+        if t == len(sources):
+            found.append(Picture(tuple(assigned.items())))
+            t -= 1
+            continue
+        x = i, j = sources[t]
+        if x in assigned:
+            used.discard(assigned.pop(x))
+        else:
+            before = [position[assigned[y]] for y in ((i - 1, j), (i, j - 1)) if y in assigned]
+            after = [position[assigned[y]] for y in ((i + 1, j), (i, j + 1)) if y in assigned]
+            windows[t] = iter(listing[max(before, default=-1) + 1:
+                                      min(after, default=len(listing))])
+        for u in windows[t]:
+            if u not in used and used.issuperset(upper_left[u]):
+                assigned[x] = u
+                used.add(u)
+                t += 1
+                break
+        else:
+            t -= 1
+    return tuple(sorted(found, key=lambda picture: picture.pairs))
+
+
+def draw_admissible_order(data, cell_set):
+    """A random linear extension of the precedence relation, drawn cell by
+    cell, so that no listing of all admissible orders is needed."""
+    todo = sorted(cell_set)
+    listing = []
+    while todo:
+        ready = [c for c in todo if not any(reference_must_precede(a, c) for a in todo)]
+        cell = data.draw(st.sampled_from(ready))
+        listing.append(cell)
+        todo.remove(cell)
+    return TotalOrder(tuple(listing))
+
+
+def rows_of(cell_set):
+    return len({i for i, _ in cell_set})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_frontier_and_counts_match_the_window_scan_on_admissible_orders(data):
+    inst = draw_instance(data, 9, 14)
+    assume(len(inst.mu) >= 2 and rows_of(inst.skew_shape.cells()) >= 2)
+    domain = draw_admissible_order(data, cells(inst.mu))
+    codomain = draw_admissible_order(data, inst.skew_shape.cells())
+    found = enumerate_pictures(inst.mu, inst.skew_shape, domain, codomain)
+    assert found == reference_window_pictures(inst.mu, inst.skew_shape, domain, codomain)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_frontier_and_counts_match_the_window_scan_on_any_listing(data):
+    inst = draw_instance(data, 7, 10)
+    domain = TotalOrder(tuple(data.draw(st.permutations(cells(inst.mu)))))
+    codomain = TotalOrder(tuple(data.draw(st.permutations(inst.skew_shape.cells()))))
+    found = enumerate_pictures(inst.mu, inst.skew_shape, domain, codomain)
+    assert found == reference_window_pictures(inst.mu, inst.skew_shape, domain, codomain)
+
+
+def pieri_instance(lam_parts, n, nu_parts):
+    return LRInstance(Partition(lam_parts), Partition((n,)), Partition(nu_parts))
+
+
+def test_pieri_instance_with_150_cells_has_one_picture():
+    inst = pieri_instance((100, 50), 150, (150, 100, 50))
+    found = enumerate_pictures(inst.mu, inst.skew_shape)
+    assert len(found) == 1 == lr_coefficient_lattice(inst)
+    assert is_picture(found[0], TotalOrder.jay(cells(inst.mu)),
+                      TotalOrder.jay(inst.skew_shape.cells()))
+
+
+def test_pieri_instance_with_120_cells_and_no_picture():
+    inst = pieri_instance((80, 40), 120, (100, 80, 60))
+    assert enumerate_pictures(inst.mu, inst.skew_shape) == ()
+    assert lr_coefficient_lattice(inst) == 0
+
+
+def test_dual_pieri_staircase_has_one_picture():
+    # lam = (30, ..., 1); a column of 32 cells fills one box in each of rows 1..32
+    lam = Partition(tuple(range(30, 0, -1)))
+    nu = Partition(tuple(p + 1 for p in lam.parts) + (1, 1))
+    inst = LRInstance(lam, Partition((1,) * 32), nu)
+    found = enumerate_pictures(inst.mu, inst.skew_shape)
+    assert found == (Picture(tuple(((i, 1), (i, nu.part(i))) for i in range(1, 33))),)
+    assert lr_coefficient_lattice(inst) == 1

@@ -216,3 +216,11 @@ def test_enumeration_matches_the_recursive_row_major_reference():
             for max_entry in range(-1, 7):
                 assert (enumerate_ssyt.__wrapped__(shape, max_entry)
                         == reference_enumerate_ssyt(shape, max_entry))
+
+
+def test_a_column_of_60_cells():
+    # every cell's entry is capped by the cells below it, so no branch dies
+    column = Partition((1,) * 60)
+    assert enumerate_ssyt(column, 60) == (Tableau(column, tuple((v,) for v in range(1, 61))),)
+    skipped = [tab.rows for tab in enumerate_ssyt(column, 61)]
+    assert skipped == [tuple((v,) for v in range(1, 62) if v != k) for k in range(61, 0, -1)]

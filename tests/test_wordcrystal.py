@@ -79,6 +79,15 @@ def test_empty_word():
     assert raising_operator((), 2, 3) is None
 
 
+@given(words)
+def test_one_scan_ends_match_repeated_cancellation(word):
+    plus, minus = wordcrystal._signature_ends(word, 4)
+    for i in range(1, 4):
+        survivors_plus, survivors_minus = _oracle_survivors(word, i)
+        assert plus[i] == (survivors_plus[0] if survivors_plus else -1)
+        assert minus[i] == (survivors_minus[-1] if survivors_minus else -1)
+
+
 def test_index_bounds():
     with pytest.raises(IndexOutOfRange):
         lowering_operator((1,), 0, 3)
