@@ -11,6 +11,17 @@ image cell; psi inverts it by sending each cell to the row named by its
 entry, at the column just past lam plus the entry's position from the
 right among equal entries.
 
+phi is the map under verification, so it checks that its input is a
+picture and builds its tableau through the validating Tableau(...); a
+broken phi shows up as an error rather than as a malformed tableau.  psi
+and conjecture_experiment build their pictures through
+Picture._unchecked: _psi_pairs lists the cells of mu in row-major order
+and gives each entry value's cells distinct columns, so its pairs are
+already sorted by source with no target repeated.  Whether such a
+pairing is a picture is decided where it is used: verify_bijection
+compares it with the enumerated pictures, and conjecture_experiment runs
+is_picture on it.
+
 lr_coefficient_lattice is a deliberately separate oracle: it counts
 lattice-word fillings of the skew shape by a backtracking loop of its own
 over raw part tuples and never touches the tableau, crystal, or picture
@@ -157,7 +168,7 @@ def psi(tab: Tableau, inst: LRInstance) -> Picture:
     """
     if not _in_lr_crystal(tab, inst):
         raise NotLRCrystal("the tableau is not in the filtered crystal for this instance")
-    return Picture(_psi_pairs(tab, inst.lam))
+    return Picture._unchecked(_psi_pairs(tab, inst.lam))
 
 
 @dataclass(frozen=True)
@@ -367,7 +378,7 @@ def conjecture_experiment(inst: LRInstance, codomain_order: TotalOrder,
     tabs = lr_filter(inst, domain_order)
     pics = set(enumerate_pictures(inst.mu, inst.skew_shape,
                                   domain_order, codomain_order))
-    images = [Picture(_psi_pairs(tab, inst.lam)) for tab in tabs]
+    images = [Picture._unchecked(_psi_pairs(tab, inst.lam)) for tab in tabs]
     image_set = set(images)
     well_defined = all(is_picture(p, domain_order, codomain_order) for p in images)
     return ConjectureReport(

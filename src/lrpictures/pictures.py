@@ -19,12 +19,21 @@ It keeps the free targets that keep the down-set (the frontier) as a bit
 mask, updated in constant time as a target is taken or freed, and cuts a
 candidate when too few free targets lie before or after it for the
 sources still to come that must map there.
+
+TotalOrder(...) and Picture(...) canonicalise every coordinate with
+operator.index, so a non-integral one raises TypeError, and Picture
+sorts its pairs and rejects a repeated source or target.  The pictures
+enumerate_pictures returns are built through Picture._unchecked: their
+cells come from the two listings, which are canonical, each source and
+each target is used once, and the pairs are sorted before they are
+stored, so the check would only repeat what the search guarantees.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import index
 from typing import Iterable, Mapping
 
 from .shapes import Cell, Partition, SkewShape, cells
@@ -81,7 +90,7 @@ class TotalOrder:
     cells: tuple[Cell, ...]
 
     def __post_init__(self) -> None:
-        listing = tuple((int(r), int(c)) for r, c in self.cells)
+        listing = tuple((index(r), index(c)) for r, c in self.cells)
         if len(set(listing)) != len(listing):
             raise ValueError("listing repeats a cell")
         object.__setattr__(self, "cells", listing)
@@ -201,13 +210,24 @@ class Picture:
     pairs: tuple[tuple[Cell, Cell], ...]
 
     def __post_init__(self) -> None:
-        pairs = tuple(sorted(((int(a), int(b)), (int(c), int(d)))
+        pairs = tuple(sorted(((index(a), index(b)), (index(c), index(d)))
                              for (a, b), (c, d) in self.pairs))
         if len({p[0] for p in pairs}) != len(pairs):
             raise ValueError("pairing repeats a source cell")
         if len({p[1] for p in pairs}) != len(pairs):
             raise ValueError("pairing repeats a target cell")
         object.__setattr__(self, "pairs", pairs)
+
+    @classmethod
+    def _unchecked(cls, pairs: tuple[tuple[Cell, Cell], ...]) -> Picture:
+        """A picture built without __post_init__'s checks.
+
+        The caller guarantees that pairs holds cells of two ints, sorted
+        by source, with no source and no target repeated.
+        """
+        pic = object.__new__(cls)
+        object.__setattr__(pic, "pairs", pairs)
+        return pic
 
     @cached_property
     def mapping(self) -> dict[Cell, Cell]:
@@ -339,7 +359,8 @@ def enumerate_pictures(mu: Partition, skew_shape: SkewShape,
     t = 0
     while t >= 0:
         if t == n:
-            found.append(Picture(tuple((x, listing[q]) for x, q in zip(sources, images))))
+            found.append(Picture._unchecked(
+                tuple(sorted(zip(sources, [listing[q] for q in images[:n]])))))
             t -= 1
             continue
         q = images[t]

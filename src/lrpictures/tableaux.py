@@ -9,6 +9,13 @@ the column reading are the two built-in cases, and any admissible order
 gives a reading via reading_by_order.
 
 The package's one semistandard-filling search, _pruned_fillings, is here too.
+Tableau(...) and make_tableau validate every entry, row and column, and
+Word(...) canonicalises its letters and cells; a non-integral entry or
+coordinate raises TypeError.  The tableaux that enumerate_ssyt and lr_filter return
+are built by _tableaux_of through Tableau._unchecked, without that check:
+the search fills each cell with an int above the cell over it and at most
+the cell to its right, so every filling it returns is semistandard, and
+re-checking it cost most of the time of building the tableau.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
+from operator import index
 from typing import Iterable, Sequence
 
 from .pictures import OrderCellMismatch, OrderNotAdmissible, TotalOrder
@@ -51,7 +59,7 @@ class Tableau:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(row) for row in self.rows)
+        rows = tuple(tuple(map(index, row)) for row in self.rows)
         object.__setattr__(self, "rows", rows)
         if len(rows) != len(self.shape) or any(
                 len(row) != p for row, p in zip(rows, self.shape.parts)):
@@ -67,6 +75,19 @@ class Tableau:
                 if i > 0 and rows[i - 1][j] >= value:
                     raise ColumnNotStrictlyIncreasing(
                         f"column {j + 1} has {rows[i - 1][j]} above {value}")
+
+    @classmethod
+    def _unchecked(cls, shape: Partition, rows: tuple[tuple[int, ...], ...]) -> Tableau:
+        """A tableau built without __post_init__'s checks.
+
+        The caller guarantees that rows is a tuple of tuples of ints, one
+        per part of the shape and as long as it, with positive entries
+        weakly increasing along rows and strictly increasing down columns.
+        """
+        tab = object.__new__(cls)
+        object.__setattr__(tab, "shape", shape)
+        object.__setattr__(tab, "rows", rows)
+        return tab
 
     def entry(self, cell: Cell) -> int:
         i, j = cell
@@ -94,8 +115,8 @@ class Word:
     source_cells: tuple[Cell, ...]
 
     def __post_init__(self) -> None:
-        letters = tuple(self.letters)
-        sources = tuple((int(r), int(c)) for r, c in self.source_cells)
+        letters = tuple(map(index, self.letters))
+        sources = tuple((index(r), index(c)) for r, c in self.source_cells)
         if len(letters) != len(sources):
             raise ValueError("letters and source cells must have equal length")
         if len(set(sources)) != len(sources):
@@ -179,10 +200,13 @@ def _pruned_fillings(mu: Partition, lam: Partition, order: TotalOrder | None,
 
 def _tableaux_of(shape: Partition, fillings: list[tuple[tuple[int, ...], tuple[int, ...]]]
                  ) -> tuple[Tableau, ...]:
-    """The tableaux of the shape's fillings, in lexicographic row-major order."""
+    """The tableaux of the shape's fillings, in lexicographic row-major order.
+
+    Each filling is semistandard by construction, so it is not checked again.
+    """
     bounds = list(accumulate(shape.parts, initial=0))
     spans = list(zip(bounds, bounds[1:]))
-    return tuple(Tableau(shape, tuple([entries[a:b] for a, b in spans]))
+    return tuple(Tableau._unchecked(shape, tuple([entries[a:b] for a, b in spans]))
                  for entries in sorted([entries for entries, _ in fillings]))
 
 

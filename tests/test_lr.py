@@ -17,7 +17,8 @@ from lrpictures.pictures import (OrderCellMismatch, OrderNotAdmissible, Picture,
                                  SizeMismatch, TotalOrder, enumerate_admissible_orders,
                                  enumerate_pictures)
 from lrpictures.shapes import NotContained, Partition, cells, partitions_of, subpartitions
-from lrpictures.tableaux import enumerate_ssyt, make_tableau, p_function
+from lrpictures.tableaux import (ColumnNotStrictlyIncreasing, RowNotWeaklyIncreasing,
+                                 enumerate_ssyt, make_tableau, p_function)
 
 
 def ref_instance():
@@ -83,6 +84,21 @@ def test_phi_rejects_non_pictures():
                       ((2, 1), (3, 2)), ((2, 2), (4, 1))))
     with pytest.raises(NotAPicture):
         phi(broken, ref_instance())
+
+
+@pytest.mark.parametrize("mu, nu, pairs, error", [
+    # row 1 of mu would read 2 1
+    ((2,), (1, 1), (((1, 1), (2, 1)), ((1, 2), (1, 1))), RowNotWeaklyIncreasing),
+    # column 1 of mu would read 1 over 1
+    ((1, 1), (2,), (((1, 1), (1, 1)), ((2, 1), (1, 2))), ColumnNotStrictlyIncreasing),
+])
+def test_phi_validates_its_tableau_even_past_the_picture_check(monkeypatch, mu, nu,
+                                                                pairs, error):
+    # phi is the map under verification, so its output goes through Tableau(...)
+    monkeypatch.setattr(lr, "is_picture", lambda *args: True)
+    inst = LRInstance(Partition(()), Partition(mu), Partition(nu))
+    with pytest.raises(error):
+        phi(Picture(pairs), inst)
 
 
 def test_psi_on_the_reference_tableaux():

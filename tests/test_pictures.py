@@ -53,6 +53,12 @@ def test_order_rejects_duplicate_cells():
         TotalOrder(((1, 1), (1, 1)))
 
 
+@pytest.mark.parametrize("listing", [((1.9, 1),), ((1, 2), (1, 1.0)), (("1", 1),)])
+def test_order_rejects_non_integral_coordinates(listing):
+    with pytest.raises(TypeError):
+        TotalOrder(listing)
+
+
 def test_order_positions_and_json():
     order = TotalOrder.jay(cells(Partition((2,))))
     assert order.positions == {(1, 2): 0, (1, 1): 1}
@@ -252,6 +258,13 @@ def test_picture_rejects_repeats():
         Picture((((1, 1), (1, 2)), ((1, 1), (2, 1))))
     with pytest.raises(ValueError):
         Picture((((1, 1), (1, 2)), ((2, 1), (1, 2))))
+
+
+@pytest.mark.parametrize("pairs", [(((1.5, 1), (1, 1)),), (((1, 1), (1, 2.0)),),
+                                   (((1, 1), ("1", 1)),)])
+def test_picture_rejects_non_integral_coordinates(pairs):
+    with pytest.raises(TypeError):
+        Picture(pairs)
 
 
 def test_picture_accessors():

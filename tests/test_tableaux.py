@@ -38,6 +38,12 @@ def test_entries_must_be_positive():
         make_tableau(Partition((1,)), ((0,),))
 
 
+@pytest.mark.parametrize("rows", [((1.5, 2),), ((1, 2.0),), (("1", 2),)])
+def test_entries_must_be_integers(rows):
+    with pytest.raises(TypeError):
+        Tableau(Partition((2,)), rows)
+
+
 def test_entry_lookup():
     assert BIG.entry((1, 4)) == 3
     assert BIG.entry((3, 1)) == 5
@@ -61,6 +67,13 @@ def test_word_validation():
     word = Word((2, 1), ((1, 2), (1, 1)))
     assert len(word) == 2
     assert word.to_json() == {"letters": [2, 1], "cells": [[1, 2], [1, 1]]}
+
+
+@pytest.mark.parametrize("letters, cells_", [((1,), ((1.5, 1),)), ((1,), ((1, "1"),)),
+                                             ((1.0,), ((1, 1),))])
+def test_word_rejects_non_integral_letters_and_cells(letters, cells_):
+    with pytest.raises(TypeError):
+        Word(letters, cells_)
 
 
 def test_row_reading_word():
