@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, NamedTuple
 
-from .pictures import (Picture, SizeMismatch, TotalOrder,
+from .pictures import (Picture, SizeMismatch, TotalOrder, _row_reading,
                        enumerate_admissible_orders, enumerate_pictures, is_picture)
 from .shapes import (AdditionResult, Cell, NotContained, Partition, SkewShape,
                      add_sequence, cells, partitions_of, subpartitions)
@@ -90,7 +90,7 @@ class LRInstance:
     @cached_property
     def _row_readings(self) -> tuple[TotalOrder, TotalOrder]:
         """The row readings of mu and of the skew shape, built and checked once."""
-        return TotalOrder.jay(cells(self.mu)), TotalOrder.jay(self.skew_shape.cells())
+        return _row_reading(self.mu), TotalOrder.jay(self.skew_shape.cells())
 
     def to_json(self) -> dict:
         return {"lambda": self.lam.to_json(), "mu": self.mu.to_json(),
@@ -101,7 +101,7 @@ def _read_and_add(tab: Tableau, lam: Partition,
                   order: TotalOrder | None = None) -> tuple[Word, AdditionResult]:
     """Read tab along the order (the row reading by default) and add the word to lam."""
     if order is None:
-        order = TotalOrder.jay(cells(tab.shape))
+        order = _row_reading(tab.shape)
     word = reading_by_order(tab, order)
     return word, add_sequence(lam, word.letters)
 

@@ -27,10 +27,19 @@ enumerate_pictures returns are built through Picture._unchecked: their
 cells come from the two listings, which are canonical, each source and
 each target is used once, and the pairs are sorted before they are
 stored, so the check would only repeat what the search guarantees.
+
+Each TotalOrder keeps the tables the searches derive from it (its sorted
+cells, enumerate_pictures' domain and codomain tables, and the filling
+steps of tableaux._pruned_fillings), built the first time a search uses
+the order and freed with it.  The order-pair experiments run a search for
+every pair of a few hundred orders, and the admissible-order listing and
+_row_reading hand back the same order objects each time, so each table
+is built once per order rather than once per call.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import index
@@ -74,12 +83,6 @@ def leq_F(a: Cell, b: Cell) -> bool:
     return _eff_key(a) <= _eff_key(b)
 
 
-def _must_precede(a: Cell, b: Cell) -> bool:
-    """a must be listed before b in every admissible order: exactly when a != b
-    and (a[0], -a[1]) is componentwise below (b[0], -b[1]), as standardness tests."""
-    return a != b and a[0] <= b[0] and a[1] >= b[1]
-
-
 @dataclass(frozen=True)
 class TotalOrder:
     """A total order on a finite cell set, materialized as a listing.
@@ -113,11 +116,113 @@ class TotalOrder:
     def admissible(self) -> bool:
         return is_admissible_order(self)
 
+    @cached_property
+    def _key(self) -> tuple[Cell, ...]:
+        """The listed cells sorted, which for a shape is its row-major cell tuple."""
+        return tuple(sorted(self.cells))
+
+    @cached_property
+    def _domain_tables(self) -> tuple[tuple[tuple[int, int, int, int], ...],
+                                      tuple[int, ...], tuple[int, ...]]:
+        return _build_domain_tables(self.cells)
+
+    @cached_property
+    def _codomain_tables(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...],
+                                        tuple[int, ...], int]:
+        return _build_codomain_tables(self.cells, self.positions)
+
+    @cached_property
+    def _filling_steps(self) -> tuple[tuple[int, int, int, int], ...]:
+        return _build_filling_steps(self.cells, self._key)
+
     def __len__(self) -> int:
         return len(self.cells)
 
     def to_json(self) -> dict:
         return {"cells": [list(cell) for cell in self.cells]}
+
+
+def _build_domain_tables(sources: tuple[Cell, ...]
+                   ) -> tuple[tuple[tuple[int, int, int, int], ...],
+                              tuple[int, ...], tuple[int, ...]]:
+    """enumerate_pictures' tables for a domain listing.
+
+    nbrs[t] holds source t's neighbours above, left, below and right by
+    index, len(sources) standing for none; before[t] and after[t] count the
+    later-listed sources componentwise below and above source t.  The counts
+    run from the last source back, keeping each line's coordinates of the
+    sources already passed sorted, so a source costs one bisection per line.
+    The componentwise order treats both coordinates alike, so the lines are
+    the rows or the columns, whichever are fewer.
+    """
+    n = len(sources)
+    index = {x: t for t, x in enumerate(sources)}
+    nbrs = tuple((index.get((i - 1, j), n), index.get((i, j - 1), n),
+                  index.get((i + 1, j), n), index.get((i, j + 1), n)) for i, j in sources)
+    points = sources
+    if len({i for i, _ in sources}) > len({j for _, j in sources}):
+        points = tuple((j, i) for i, j in sources)
+    # passed[a]: the second coordinates of the passed points on line a, sorted
+    passed: dict[int, list[int]] = {a: [] for a in sorted({a for a, _ in points})}
+    before = [0] * n
+    after = [0] * n
+    for t in range(n - 1, -1, -1):
+        i, j = points[t]
+        for a, line in passed.items():
+            if a <= i:
+                before[t] += bisect_right(line, j)
+            if a >= i:
+                after[t] += len(line) - bisect_left(line, j)
+        insort(passed[i], j)
+    return nbrs, tuple(before), tuple(after)
+
+
+def _build_codomain_tables(listing: tuple[Cell, ...], position: Mapping[Cell, int]
+                     ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...],
+                                tuple[int, ...], int]:
+    """enumerate_pictures' tables for a codomain listing.
+
+    need[q] holds the listed cells just above and left of position q as
+    bits; taking q may open the positions opens[q] just below and right of
+    it, and freeing q closes them, closes[q] as bits.  The last entry is the
+    initial frontier: the positions that need nothing, as bits.
+    """
+    n = len(listing)
+    need = [0] * n
+    opens: list[list[int]] = [[] for _ in listing]
+    closes = [0] * n
+    for q, (a, b) in enumerate(listing):
+        for v in ((a + 1, b), (a, b + 1)):
+            if v in position:
+                p = position[v]
+                need[p] |= 1 << q
+                opens[q].append(p)
+                closes[q] |= 1 << p
+    frontier = sum(1 << q for q in range(n) if not need[q])
+    return tuple(need), tuple(map(tuple, opens)), tuple(closes), frontier
+
+
+def _build_filling_steps(listing: tuple[Cell, ...], key: tuple[Cell, ...]
+                   ) -> tuple[tuple[int, int, int, int], ...]:
+    """tableaux._pruned_fillings' steps for a listing, one per listed cell:
+    its index in the sorted cells (row-major, for a shape), the indices of
+    its right neighbour and of the cell above it (-1 for none), and the
+    number of cells below it in its column."""
+    flat = {cell: k for k, cell in enumerate(key)}
+    below: dict[Cell, int] = {}
+    seen: dict[int, int] = {}
+    for i, j in reversed(key):
+        below[(i, j)] = seen.get(j, 0)
+        seen[j] = below[(i, j)] + 1
+    return tuple((flat[(i, j)], flat.get((i, j + 1), -1), flat.get((i - 1, j), -1),
+                  below[(i, j)]) for i, j in listing)
+
+
+@lru_cache(maxsize=None)
+def _row_reading(shape: Partition) -> TotalOrder:
+    """The row reading of a partition's cells, one order object per partition,
+    so the searches build its tables once."""
+    return TotalOrder.jay(cells(shape))
 
 
 def is_admissible_order(order: TotalOrder) -> bool:
@@ -145,13 +250,35 @@ def enumerate_admissible_orders(cell_set: Iterable[Cell],
     return orders
 
 
+def _direct_predecessors(todo: tuple[Cell, ...]) -> dict[Cell, set[Cell]]:
+    """For each cell (i, j) of the sorted cells, the leftmost cell at column
+    >= j in each row above and the nearest cell at column > j in its own row.
+
+    A cell must precede (i, j) in every admissible order exactly when it is
+    another cell weakly above and weakly right of it.  Such a cell is reached
+    from one of these by steps right along its row, each to a cell that must
+    precede the last, so this relation's closure is the whole precedence.
+    """
+    lines: dict[int, list[int]] = {}
+    for r, c in todo:
+        lines.setdefault(r, []).append(c)
+    predecessors: dict[Cell, set[Cell]] = {}
+    for i, j in todo:
+        direct = predecessors[(i, j)] = set()
+        for r, line in lines.items():  # rows in increasing order, as todo is sorted
+            if r > i:
+                break
+            k = bisect_left(line, j) if r < i else bisect_right(line, j)
+            if k < len(line):
+                direct.add((r, line[k]))
+    return predecessors
+
+
 @lru_cache(maxsize=None)
 def _admissible_orders(todo: tuple[Cell, ...]) -> tuple[TotalOrder, ...]:
-    predecessors: dict[Cell, set[Cell]] = {c: set() for c in todo}
-    for a in todo:
-        for b in todo:
-            if _must_precede(a, b):
-                predecessors[b].add(a)
+    # a candidate is ready once its direct predecessors are placed: each placed
+    # cell's were, so the placed cells stay closed under the whole precedence
+    predecessors = _direct_predecessors(todo)
     out: list[TotalOrder] = []
     listing: list[Cell] = []
     placed: set[Cell] = set()
@@ -268,10 +395,10 @@ def is_picture(pairing, domain_order: TotalOrder, codomain_order: TotalOrder) ->
     forward = dict(items)
     if len(forward) != len(items):
         return False
-    if set(forward) != set(domain_order.cells):
+    if forward.keys() != domain_order.positions.keys():
         return False
     images = set(forward.values())
-    if len(images) != len(forward) or images != set(codomain_order.cells):
+    if len(images) != len(forward) or images != codomain_order.positions.keys():
         return False
     inverse = {image: source for source, image in forward.items()}
     return (is_standard(forward, codomain_order)
@@ -311,45 +438,20 @@ def enumerate_pictures(mu: Partition, skew_shape: SkewShape,
         raise SizeMismatch(
             f"{len(sources_rowmajor)} source cells vs {len(targets)} target cells")
     if domain_order is None:
-        domain_order = TotalOrder.jay(sources_rowmajor)
+        domain_order = _row_reading(mu)
     if codomain_order is None:
         codomain_order = TotalOrder.jay(targets)
-    if set(domain_order.cells) != set(sources_rowmajor):
+    if domain_order._key != sources_rowmajor:
         raise OrderCellMismatch("domain order must list the cells of the source shape")
-    if set(codomain_order.cells) != set(targets):
+    if codomain_order._key != targets:
         raise OrderCellMismatch("codomain order must list the skew cells")
 
     sources = domain_order.cells
     listing = codomain_order.cells
-    position = codomain_order.positions
     n = len(listing)
-    index = {x: t for t, x in enumerate(sources)}
-    # source t's neighbours above, left, below and right, by index; n stands for none
-    nbrs = [(index.get((i - 1, j), n), index.get((i, j - 1), n),
-             index.get((i + 1, j), n), index.get((i, j + 1), n)) for i, j in sources]
-    # the later sources that must map before (before[t]) and after (after[t]) source t
-    before = [0] * n
-    after = [0] * n
-    for t, (i, j) in enumerate(sources):
-        for a, b in sources[t + 1:]:
-            if a <= i and b <= j:
-                before[t] += 1
-            elif a >= i and b >= j:
-                after[t] += 1
-    # need[q]: the skew cells above and left of position q, as bits; taking q
-    # may open the positions opens[q] below and right of it, and freeing q closes them
-    need = [0] * n
-    opens: list[list[int]] = [[] for _ in listing]
-    closes = [0] * n
-    for q, (a, b) in enumerate(listing):
-        for v in ((a + 1, b), (a, b + 1)):
-            if v in position:
-                p = position[v]
-                need[p] |= 1 << q
-                opens[q].append(p)
-                closes[q] |= 1 << p
+    nbrs, before, after = domain_order._domain_tables
+    need, opens, closes, frontier = codomain_order._codomain_tables
     used = 0
-    frontier = sum(1 << q for q in range(n) if not need[q])
     # images[t]: the position source t maps to, -1 while unplaced; images[n], read for
     # a missing neighbour, stays -1
     images = [-1] * (n + 1)

@@ -15,19 +15,22 @@ coordinate raises TypeError.  The tableaux that enumerate_ssyt and lr_filter ret
 are built by _tableaux_of through Tableau._unchecked, without that check:
 the search fills each cell with an int above the cell over it and at most
 the cell to its right, so every filling it returns is semistandard, and
-re-checking it cost most of the time of building the tableau.
+re-checking it cost most of the time of building the tableau.  The
+search's steps along an order are kept on the TotalOrder, with the
+pictures tables, so a filter run along the same order again, as the
+order-pair experiment does, skips building them; the default order is the
+partition's shared row reading.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from operator import index
 from typing import Iterable, Sequence
 
-from .pictures import OrderCellMismatch, OrderNotAdmissible, TotalOrder
+from .pictures import OrderCellMismatch, OrderNotAdmissible, TotalOrder, _row_reading
 from .shapes import Cell, Partition, cells
 
 
@@ -137,6 +140,12 @@ def make_tableau(shape: Partition, rows: Iterable[Sequence[int]]) -> Tableau:
     return Tableau(shape, tuple(tuple(row) for row in rows))
 
 
+def _row_lengths(top: int, shape: Partition, rank_bound: int) -> list[int]:
+    """top, then the shape's first rank_bound parts padded with zeros to rank_bound."""
+    parts = shape.parts[:max(rank_bound, 0)]
+    return [top, *parts] + [0] * (rank_bound - len(parts))
+
+
 def _pruned_fillings(mu: Partition, lam: Partition, order: TotalOrder | None,
                      rank_bound: int, cap: Partition | None
                      ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -155,21 +164,16 @@ def _pruned_fillings(mu: Partition, lam: Partition, order: TotalOrder | None,
     past its entry.
     """
     if order is None:
-        order = TotalOrder.jay(cells(mu))
+        order = _row_reading(mu)
     else:
         _check_reading_order(order, mu)
-    flat = {cell: k for k, cell in enumerate(cells(mu))}
-    # column j has one cell per part >= j, counted by bisecting the negated
-    # parts, so a cell (i, j) has that count minus i cells below it
-    negated = [-part for part in mu.parts]
-    steps = [(flat[(i, j)], flat.get((i, j + 1), -1), flat.get((i - 1, j), -1),
-              rank_bound - bisect_right(negated, -j) + i) for i, j in order.cells]
+    steps = order._filling_steps
     unbounded = mu.size + lam.size + 1
     # rows[v] is the current length of row v; rows[0] never binds
-    rows = [unbounded] + [lam.part(v) for v in range(1, rank_bound + 1)]
-    limit = [unbounded] + [unbounded if cap is None else cap.part(v)
-                           for v in range(1, rank_bound + 1)]
-    entries = [0] * len(flat)
+    rows = _row_lengths(unbounded, lam, rank_bound)
+    limit = ([unbounded] * (rank_bound + 1) if cap is None
+             else _row_lengths(unbounded, cap, rank_bound))
+    entries = [0] * len(steps)
     found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     k = 0
     while k >= 0:
@@ -177,7 +181,8 @@ def _pruned_fillings(mu: Partition, lam: Partition, order: TotalOrder | None,
             found.append((tuple(entries), tuple(rows[1:])))
             k -= 1
             continue
-        cell, right, above, high = steps[k]
+        cell, right, above, below = steps[k]
+        high = rank_bound - below
         v = entries[cell]
         if v:
             rows[v] -= 1
@@ -242,7 +247,7 @@ def p_function(tab: Tableau, cell: Cell) -> int:
 
 def middle_eastern_reading(tab: Tableau) -> Word:
     """Read each row right to left, top row first."""
-    return reading_by_order(tab, TotalOrder.jay(cells(tab.shape)))
+    return reading_by_order(tab, _row_reading(tab.shape))
 
 
 def far_eastern_reading(tab: Tableau) -> Word:
@@ -252,9 +257,9 @@ def far_eastern_reading(tab: Tableau) -> Word:
 
 def _check_reading_order(order: TotalOrder, shape: Partition) -> None:
     """Raise unless the order is an admissible listing of the shape's cells."""
-    if set(order.cells) != set(cells(shape)):
+    if order._key != cells(shape):
         raise OrderCellMismatch(
-            f"order lists {sorted(order.cells)}, shape has {list(cells(shape))}")
+            f"order lists {list(order._key)}, shape has {list(cells(shape))}")
     if not order.admissible:
         raise OrderNotAdmissible("the listing is not an admissible order")
 

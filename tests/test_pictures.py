@@ -4,9 +4,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from lrpictures import pictures
 from lrpictures.lr import LRInstance, lr_coefficient_lattice, lr_filter, phi
 from lrpictures.pictures import (OrderCellMismatch, Picture, SizeMismatch,
-                                 TotalOrder, enumerate_admissible_orders,
+                                 TotalOrder, _direct_predecessors,
+                                 enumerate_admissible_orders,
                                  enumerate_pictures, is_admissible_order,
                                  is_picture, is_standard, leq_F, leq_J, leq_P)
 from lrpictures.shapes import Partition, cells, partitions_of, skew, subpartitions
@@ -178,6 +180,38 @@ def test_admissibility_matches_the_pair_loop_on_sparse_cells(data):
             listing[k], listing[k + 1] = listing[k + 1], listing[k]
     order = TotalOrder(tuple(listing))
     assert is_admissible_order(order) == reference_is_admissible_order(order)
+
+
+def closure(relation):
+    """Everything reachable by following a relation {cell: its predecessors}."""
+    reach = {}
+    for cell in relation:
+        seen, stack = set(), list(relation[cell])
+        while stack:
+            a = stack.pop()
+            if a not in seen:
+                seen.add(a)
+                stack.extend(relation[a])
+        reach[cell] = seen
+    return reach
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(signed_coordinates, signed_coordinates), max_size=8, unique=True))
+def test_direct_predecessors_close_to_the_whole_precedence(cell_list):
+    todo = tuple(sorted(cell_list))
+    direct = _direct_predecessors(todo)
+    assert all(reference_must_precede(a, b) for b in todo for a in direct[b])
+    assert closure(direct) == {b: {a for a in todo if reference_must_precede(a, b)}
+                               for b in todo}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(signed_coordinates, signed_coordinates), max_size=8, unique=True))
+def test_admissible_orders_match_the_recursive_reference_on_any_cells(cell_list):
+    # the uncached search, so that arbitrary cell sets do not fill the cache
+    todo = tuple(sorted(cell_list))
+    assert pictures._admissible_orders.__wrapped__(todo) == reference_admissible_orders(todo)
 
 
 def test_standardness_of_a_tiny_map():
