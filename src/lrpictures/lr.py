@@ -26,6 +26,9 @@ lr_coefficient_lattice is a deliberately separate oracle: it counts
 lattice-word fillings of the skew shape by a backtracking loop of its own
 over raw part tuples and never touches the tableau, crystal, or picture
 code paths, so agreement between all three counts is meaningful evidence.
+It keeps its own cache of per-shape steps, _lattice_steps, keyed on the raw
+part tuples of nu and lam, rather than sharing the row readings the other
+two paths cache; the count itself runs on every call.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, NamedTuple
 
 from .pictures import (Picture, SizeMismatch, TotalOrder, _row_reading,
@@ -89,8 +92,9 @@ class LRInstance:
 
     @cached_property
     def _row_readings(self) -> tuple[TotalOrder, TotalOrder]:
-        """The row readings of mu and of the skew shape, built and checked once."""
-        return _row_reading(self.mu), TotalOrder.jay(self.skew_shape.cells())
+        """The row readings of mu and of the skew shape: the shared order objects
+        that enumerate_pictures defaults to, so their tables are built once per shape."""
+        return _row_reading(self.mu), _row_reading(self.skew_shape)
 
     def to_json(self) -> dict:
         return {"lambda": self.lam.to_json(), "mu": self.mu.to_json(),
@@ -276,6 +280,19 @@ def decompose_tensor(lam: Partition, mu: Partition, rank_bound: int,
     return {Partition(final): count for final, count in ordered}
 
 
+@lru_cache(maxsize=None)
+def _lattice_steps(nu: tuple[int, ...], lam: tuple[int, ...]
+                   ) -> tuple[tuple[int | None, int | None], ...]:
+    """The lattice oracle's steps for the skew shape nu/lam, one per skew cell in
+    reverse row-reading order: the steps of the already filled neighbours above
+    it and to its right, None for none.  Cached on the raw part tuples, so a
+    sweep builds them once per skew shape."""
+    fill_order = [(i, j) for i in range(len(nu))
+                  for j in range(nu[i], lam[i] if i < len(lam) else 0, -1)]
+    step_of = {cell: t for t, cell in enumerate(fill_order)}
+    return tuple((step_of.get((i - 1, j)), step_of.get((i, j + 1))) for i, j in fill_order)
+
+
 def lr_coefficient_lattice(inst: LRInstance) -> int:
     """Count lattice-word fillings of the skew shape by a backtracking loop.
 
@@ -286,18 +303,14 @@ def lr_coefficient_lattice(inst: LRInstance) -> int:
     raw part tuples only; independence from the tableau, crystal, and
     picture paths is the point of this oracle.
     """
-    nu, lam, mu = inst.nu.parts, inst.lam.parts, inst.mu.parts
-    fill_order = [(i, j) for i in range(len(nu))
-                  for j in range(nu[i], lam[i] if i < len(lam) else 0, -1)]
-    step_of = {cell: t for t, cell in enumerate(fill_order)}
-    # the already filled neighbours above and to the right of each cell
-    neighbours = [(step_of.get((i - 1, j)), step_of.get((i, j + 1))) for i, j in fill_order]
+    mu = inst.mu.parts
+    neighbours = _lattice_steps(inst.nu.parts, inst.lam.parts)
     placed = [0] * (len(mu) + 1)
-    letters = [0] * len(fill_order)  # 0 while a cell is unfilled
+    letters = [0] * len(neighbours)  # 0 while a cell is unfilled
     total = 0
     t = 0
     while t >= 0:
-        if t == len(fill_order):
+        if t == len(neighbours):
             total += 1
             t -= 1
             continue

@@ -34,7 +34,12 @@ steps of tableaux._pruned_fillings), built the first time a search uses
 the order and freed with it.  The order-pair experiments run a search for
 every pair of a few hundred orders, and the admissible-order listing and
 _row_reading hand back the same order objects each time, so each table
-is built once per order rather than once per call.
+is built once per order rather than once per call.  _row_reading keeps one
+order per partition and per skew shape for the life of the process, and
+enumerate_pictures defaults to it on both sides, so a sweep over many
+instances builds each shape's row reading and its tables once, however
+many instances share the shape.  Only per-shape orders are kept, never a
+search's result.
 """
 
 from __future__ import annotations
@@ -219,10 +224,11 @@ def _build_filling_steps(listing: tuple[Cell, ...], key: tuple[Cell, ...]
 
 
 @lru_cache(maxsize=None)
-def _row_reading(shape: Partition) -> TotalOrder:
-    """The row reading of a partition's cells, one order object per partition,
-    so the searches build its tables once."""
-    return TotalOrder.jay(cells(shape))
+def _row_reading(shape: Partition | SkewShape) -> TotalOrder:
+    """The row reading of a partition's or a skew shape's cells, one order
+    object per shape for the life of the process, so the searches build its
+    tables once per shape rather than once per call or per instance."""
+    return TotalOrder.jay(shape.cells() if isinstance(shape, SkewShape) else cells(shape))
 
 
 def is_admissible_order(order: TotalOrder) -> bool:
@@ -410,12 +416,13 @@ def enumerate_pictures(mu: Partition, skew_shape: SkewShape,
                        codomain_order: TotalOrder | None = None) -> tuple[Picture, ...]:
     """All pictures from the cells of mu onto the skew cells.
 
-    The orders default to row-reading on both sides; any listing of the
-    cells is accepted.  Sources are placed in domain-listing order; an
-    image must follow the images of the placed neighbours above and left,
-    precede those below and right, and find the skew cells above and left
-    of it taken.  Both shapes are convex, so these constant-time tests are
-    exactly the two standardness conditions.
+    The orders default to the shared row readings of mu and of the skew
+    shape (_row_reading); any listing of the cells is accepted, and is
+    checked against the cells of that row reading.  Sources are placed in
+    domain-listing order; an image must follow the images of the placed
+    neighbours above and left, precede those below and right, and find the
+    skew cells above and left of it taken.  Both shapes are convex, so
+    these constant-time tests are exactly the two standardness conditions.
 
     The targets passing the second test form the frontier, a bit mask
     over codomain positions: taking a target removes it and adds each
@@ -433,14 +440,15 @@ def enumerate_pictures(mu: Partition, skew_shape: SkewShape,
     by pair list.
     """
     sources_rowmajor = cells(mu)
-    targets = skew_shape.cells()
+    reading = _row_reading(skew_shape)
+    targets = reading._key
     if len(sources_rowmajor) != len(targets):
         raise SizeMismatch(
             f"{len(sources_rowmajor)} source cells vs {len(targets)} target cells")
     if domain_order is None:
         domain_order = _row_reading(mu)
     if codomain_order is None:
-        codomain_order = TotalOrder.jay(targets)
+        codomain_order = reading
     if domain_order._key != sources_rowmajor:
         raise OrderCellMismatch("domain order must list the cells of the source shape")
     if codomain_order._key != targets:

@@ -9,8 +9,10 @@ operator killing the element.
 
 The only consumer in this package is verify_embedding, which checks that
 reading tableaux along an admissible order gives a set of words closed
-under both operators; it checks the order and each word once, and gets
-every index's operators on a word from one signature scan.
+under both operators; it checks the order and each word once, gets every
+index's operators on a word from one signature scan, and visits only the
+indices the word's letters touch, so a word costs its length, not the
+letter bound.
 """
 
 from __future__ import annotations
@@ -61,18 +63,19 @@ def _survivors(letters: tuple[int, ...], i: int) -> tuple[list[int], list[int]]:
     return plus, minus
 
 
-def _signature_ends(letters: tuple[int, ...], max_letter: int
-                    ) -> tuple[list[int], list[int]]:
-    """Every index's leftmost uncancelled plus and rightmost uncancelled
-    minus, -1 where none survives, from one pass over letters in 1..max_letter.
+def _signature_ends(letters: tuple[int, ...], unmatched: list[int],
+                    plus: list[int], minus: list[int]) -> list[int]:
+    """Every index's leftmost uncancelled plus and rightmost uncancelled minus,
+    from one pass over letters in 1..max_letter, written into plus and minus.
 
     Letter a is a plus of index a and a minus of index a - 1.  Per index, a
     count of unmatched pluses and the position of the lowest of them stand
-    for the stack of _survivors.
+    for the stack of _survivors.  The three arrays run over indices
+    0..max_letter and must read 0, -1 and -1 on entry.  The indices the
+    letters touch come back in increasing order: plus and minus hold their
+    ends, -1 where none survives, and they are the only entries written, so
+    resetting them there restores the arrays.  Every other index has no sign.
     """
-    unmatched = [0] * (max_letter + 1)
-    plus = [-1] * (max_letter + 1)
-    minus = [-1] * (max_letter + 1)
     for k, a in enumerate(letters):
         if unmatched[a - 1]:
             unmatched[a - 1] -= 1
@@ -81,7 +84,12 @@ def _signature_ends(letters: tuple[int, ...], max_letter: int
         if not unmatched[a]:
             plus[a] = k
         unmatched[a] += 1
-    return [k if count else -1 for k, count in zip(plus, unmatched)], minus
+    present = set(letters)
+    touched = sorted(present.union([a - 1 for a in present]))
+    for i in touched:
+        if not unmatched[i]:
+            plus[i] = -1
+    return touched
 
 
 def _replaced(letters: tuple[int, ...], k: int, letter: int) -> tuple[int, ...] | None:
@@ -125,17 +133,36 @@ def verify_embedding(shape: Partition, max_entry: int,
     """
     _check_reading_order(order, shape)
     image = {_letters_along(tab, order) for tab in enumerate_ssyt(shape, max_entry)}
-    for word in sorted(image):
+    # each word as an integer, one big-endian digit of `width` bytes per letter:
+    # the codes sort as the words do, and an operator's result is one addition
+    width = (max_entry.bit_length() + 7) // 8
+    digits = [a.to_bytes(width, "big") for a in range(max_entry + 1)]
+    codes: dict[int, tuple[int, ...]] = {}
+    for word in image:
         _check_letters(word, max_entry)
-        plus, minus = _signature_ends(word, max_entry)
-        for i in range(1, max_entry):
-            for name, result in (("lowering", _replaced(word, plus[i], i + 1)),
-                                 ("raising", _replaced(word, minus[i], i))):
-                if result is not None and result not in image:
-                    return EmbeddingReport(False, {
-                        "word": list(word),
-                        "operator": name,
-                        "index": i,
-                        "result": list(result),
-                    })
+        codes[int.from_bytes(b"".join(map(digits.__getitem__, word)), "big")] = word
+    bits, last = 8 * width, shape.size - 1
+    unmatched = [0] * (max_entry + 1)
+    plus = [-1] * (max_entry + 1)
+    minus = [-1] * (max_entry + 1)
+    for code in sorted(codes):
+        word = codes[code]
+        # an index no letter touches has no sign, so both operators give None there
+        for i in _signature_ends(word, unmatched, plus, minus):
+            if 1 <= i < max_entry:
+                k = plus[i]
+                if k >= 0 and code + (1 << (last - k) * bits) not in codes:
+                    return _counterexample(word, "lowering", i, k, i + 1)
+                k = minus[i]
+                if k >= 0 and code - (1 << (last - k) * bits) not in codes:
+                    return _counterexample(word, "raising", i, k, i)
+            unmatched[i], plus[i], minus[i] = 0, -1, -1
     return EmbeddingReport(True, None)
+
+
+def _counterexample(word: tuple[int, ...], name: str, i: int, k: int,
+                    letter: int) -> EmbeddingReport:
+    """The report of operator name at index i sending word outside the image
+    by setting position k to letter."""
+    return EmbeddingReport(False, {"word": list(word), "operator": name, "index": i,
+                                   "result": list(_replaced(word, k, letter))})

@@ -2,7 +2,8 @@
 
 Each test prints exactly one summary line (run with -s to see them) and
 then asserts the same condition, so a failing criterion is visible both
-ways.  The exhaustive size-8 verification is computed once and shared.
+ways.  The exhaustive size-8 verification is computed once and shared;
+the size-9 sweep runs on its own, beside it.
 """
 
 import time
@@ -75,6 +76,12 @@ def test_criterion_05_mutual_inverses(size8):
                          if f.counterexample["kind"] in IDENTITY_FAILURES]
     ok = size8.instances == 4136 and not identity_failures
     _report(5, "maps invert each other through size 8", ok)
+
+
+def test_criterion_11_sweep_through_size_9():
+    report = lp.sweep(9)
+    _report(11, "counts agree and maps invert each other through size 9",
+            report.instances == 9381 and report.ok)
 
 
 def test_criterion_06_filter_ignores_the_reading_order():

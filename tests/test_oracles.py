@@ -1,14 +1,21 @@
 """Checks that the three counts could fail together: closed-form Pieri and
 dual Pieri coefficients past the exhaustive sweep, and the swap and
-conjugation symmetries, which both maps treat asymmetrically.
+conjugation symmetries, which both maps treat asymmetrically.  The lattice
+oracle's independence is checked too: its code loads nothing that the
+picture, tableau or shape modules define.
 
 References: Macdonald, Symmetric Functions and Hall Polynomials, I.5.16;
 Fulton, Young Tableaux, section 2.
 """
 
+import builtins
+import dis
+from types import CodeType
+
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from lrpictures import lr, pictures, shapes, tableaux
 from lrpictures.lr import LRInstance, iter_instances, lr_coefficient_lattice, lr_filter
 from lrpictures.pictures import enumerate_pictures
 from lrpictures.shapes import Partition
@@ -96,3 +103,26 @@ def test_swap_and_conjugation_symmetries_up_to_size_eight():
             assert table.get((mu, lam, nu), 0) == c
             assert table[conjugate(lam), conjugate(mu), conjugate(nu)] == c
     assert max(pictures.values()) == 2
+
+
+def loaded_globals(code):
+    """The global names a code object and the code nested in it load."""
+    names = {ins.argval for ins in dis.get_instructions(code) if ins.opname == "LOAD_GLOBAL"}
+    for const in code.co_consts:
+        if isinstance(const, CodeType):
+            names |= loaded_globals(const)
+    return names
+
+
+def test_the_lattice_oracle_loads_nothing_the_other_paths_define():
+    others = (pictures, tableaux, shapes)
+    names = set()
+    for function in (lr_coefficient_lattice, lr._lattice_steps.__wrapped__):
+        names |= loaded_globals(function.__code__)
+    assert "_lattice_steps" in names
+    for name in names:
+        value = vars(lr)[name] if name in vars(lr) else getattr(builtins, name)
+        owner = getattr(value, "__module__", None)
+        assert owner not in {module.__name__ for module in others}, name
+        if owner is None:
+            assert all(vars(module).get(name) is not value for module in others), name

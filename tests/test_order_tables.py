@@ -1,8 +1,10 @@
 """The searches keep each order's tables on the order object, built the
 first time a search uses it.  A reused order must give what a fresh copy
 of it gives, each order's tables must be built once, and an order built
-for one shape must still be rejected for another.  The per-line
-before/after counts are checked against the pair loop they replaced."""
+for one shape must still be rejected for another.  A sweep builds each
+skew shape's row reading, its tables and the lattice oracle's steps once.
+The per-line before/after counts are checked against the pair loop they
+replaced."""
 
 from collections import Counter
 from functools import lru_cache
@@ -11,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrpictures import pictures
+from lrpictures import lr, pictures, tableaux
 from lrpictures.lr import (LRInstance, _psi_pairs, conjecture_experiment,
-                           conjecture_rows, iter_instances, lr_filter)
+                           conjecture_rows, iter_instances, lr_coefficient_all_methods,
+                           lr_filter, verify_bijection)
 from lrpictures.pictures import (OrderCellMismatch, Picture, TotalOrder,
                                  _build_domain_tables, enumerate_admissible_orders,
                                  enumerate_pictures, is_picture)
@@ -104,6 +107,48 @@ def test_conjecture_rows_build_each_orders_tables_once(monkeypatch):
            for name in ("_domain_tables", "_filling_steps")])
     conjecture_rows(inst)
     assert max(builds.values()) == 1
+
+
+def test_a_sweep_builds_each_skew_shapes_tables_once(monkeypatch):
+    # caches of their own, so that every shape starts without an order or steps
+    reading = lru_cache(maxsize=None)(pictures._row_reading.__wrapped__)
+    for module in (pictures, tableaux, lr):
+        monkeypatch.setattr(module, "_row_reading", reading)
+    codomain_builds = Counter()
+
+    def counted_codomain(listing, *rest, build=pictures._build_codomain_tables):
+        codomain_builds[listing] += 1
+        return build(listing, *rest)
+    monkeypatch.setattr(pictures, "_build_codomain_tables", counted_codomain)
+    lattice_builds = Counter()
+
+    def counted_steps(nu, lam, build=lr._lattice_steps.__wrapped__):
+        lattice_builds[nu, lam] += 1
+        return build(nu, lam)
+    monkeypatch.setattr(lr, "_lattice_steps", lru_cache(maxsize=None)(counted_steps))
+    phi_codomains = []
+    real_is_picture = lr.is_picture
+
+    def recording_is_picture(pic, domain, codomain):
+        phi_codomains.append(codomain)
+        return real_is_picture(pic, domain, codomain)
+    monkeypatch.setattr(lr, "is_picture", recording_is_picture)
+
+    instances = list(iter_instances(6))
+    for inst in instances:
+        phi_codomains.clear()
+        report = verify_bijection(inst)
+        assert report.ok and len(phi_codomains) == report.pictures
+        # phi checks against the order enumerate_pictures built its tables on
+        codomain = inst._row_readings[1]
+        assert codomain is reading(inst.skew_shape)
+        assert "_codomain_tables" in vars(codomain)
+        assert all(order is codomain for order in phi_codomains)
+        lr_coefficient_all_methods(inst)
+    shapes = {inst.skew_shape for inst in instances}
+    # distinct skew shapes may list the same cells, so count by shape, not by listing
+    assert codomain_builds == Counter(TotalOrder.jay(shape.cells()).cells for shape in shapes)
+    assert lattice_builds == Counter((shape.outer.parts, shape.inner.parts) for shape in shapes)
 
 
 def test_an_order_with_tables_of_one_shape_is_rejected_for_another():

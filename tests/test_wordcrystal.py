@@ -8,7 +8,7 @@ from lrpictures import wordcrystal
 from lrpictures.pictures import (OrderCellMismatch, OrderNotAdmissible, TotalOrder,
                                  enumerate_admissible_orders)
 from lrpictures.shapes import Partition, cells, partitions_of
-from lrpictures.tableaux import reading_by_order
+from lrpictures.tableaux import make_tableau, reading_by_order
 from lrpictures.wordcrystal import (IndexOutOfRange, lowering_operator,
                                     raising_operator, verify_embedding)
 
@@ -81,11 +81,17 @@ def test_empty_word():
 
 @given(words)
 def test_one_scan_ends_match_repeated_cancellation(word):
-    plus, minus = wordcrystal._signature_ends(word, 4)
+    unmatched, plus, minus = [0] * 5, [-1] * 5, [-1] * 5
+    touched = wordcrystal._signature_ends(word, unmatched, plus, minus)
+    assert touched == sorted({*word, *[a - 1 for a in word]})
     for i in range(1, 4):
         survivors_plus, survivors_minus = _oracle_survivors(word, i)
         assert plus[i] == (survivors_plus[0] if survivors_plus else -1)
         assert minus[i] == (survivors_minus[-1] if survivors_minus else -1)
+    # the touched indices are the only entries written
+    for i in touched:
+        unmatched[i], plus[i], minus[i] = 0, -1, -1
+    assert (unmatched, plus, minus) == ([0] * 5, [-1] * 5, [-1] * 5)
 
 
 def test_index_bounds():
@@ -198,3 +204,25 @@ def test_dropped_tableaux_give_the_reference_counterexample(monkeypatch, shape, 
         report = verify_embedding(shape, 3, order)
         assert not report.ok
         assert tuple(report) == reference_embedding(shape, 3, order)
+
+
+# with letters above 255 each letter takes two bytes in the word codes; a few
+# hand-picked tableaux keep the reference cheap at that bound
+@pytest.mark.parametrize("entries", [
+    ((255, 256), (255, 257), (256, 257)),
+    ((1, 256), (1, 257), (2, 257), (255, 256)),
+    ((254, 300), (255, 300), (256, 300), (255, 299), (256, 299)),
+])
+def test_two_byte_letters_give_the_reference_counterexample(monkeypatch, entries):
+    column = Partition((1, 1))
+    tabs = tuple(make_tableau(column, ((a,), (b,))) for a, b in entries)
+    monkeypatch.setattr(wordcrystal, "enumerate_ssyt", lambda shape, max_entry: tabs)
+    order = TotalOrder.jay(cells(column))
+    report = verify_embedding(column, 300, order)
+    assert not report.ok
+    assert tuple(report) == reference_embedding(column, 300, order)
+
+
+def test_two_byte_letters_close_on_one_cell():
+    cell = Partition((1,))
+    assert verify_embedding(cell, 300, TotalOrder.jay(cells(cell))).ok
