@@ -269,13 +269,20 @@ def decompose_tensor(lam: Partition, mu: Partition, rank_bound: int,
     Both input shapes must have strictly fewer rows than rank_bound;
     entries are at most rank_bound, so every final shape has at most
     rank_bound rows.  The reading defaults to the row reading.  Runs the
-    filling search of the crystal filter with no cap.
+    filling search of the crystal filter with no cap; a filling's final
+    shape is lam plus its content, so fillings are counted by content.
     """
     if len(lam) > rank_bound - 1 or len(mu) > rank_bound - 1:
         raise RankTooSmall(
             f"input shapes must have fewer than {rank_bound} rows")
-    multiplicities = Counter(final for _, final in _pruned_fillings(
+    contents = Counter(tuple(sorted(entries)) for entries in _pruned_fillings(
         mu, lam, order, rank_bound, None))
+    multiplicities: dict[tuple[int, ...], int] = {}
+    for content, count in contents.items():
+        final = [*lam.parts] + [0] * (rank_bound - len(lam))
+        for v in content:
+            final[v - 1] += 1
+        multiplicities[tuple(final)] = count
     ordered = sorted(multiplicities.items(), reverse=True)
     return {Partition(final): count for final, count in ordered}
 

@@ -147,8 +147,7 @@ def _row_lengths(top: int, shape: Partition, rank_bound: int) -> list[int]:
 
 
 def _pruned_fillings(mu: Partition, lam: Partition, order: TotalOrder | None,
-                     rank_bound: int, cap: Partition | None
-                     ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+                     rank_bound: int, cap: Partition | None) -> list[tuple[int, ...]]:
     """Semistandard fillings of mu whose reading adds onto lam box by box.
 
     Fills the cells in the order's listing (the row reading by default).
@@ -158,10 +157,10 @@ def _pruned_fillings(mu: Partition, lam: Partition, order: TotalOrder | None,
     min(right, rank_bound - cells below).  The box of v goes onto row v of lam at
     once, and the branch is cut when row v would outgrow row v - 1 or,
     given a cap, the cap's row v.  Each filling comes back, in depth-first
-    order, as its entries in row-major cell order paired with the row
-    lengths it adds up to (rank_bound of them).  An entry of 0 marks an
-    unplaced cell, so the cursor k steps back to a cell and resumes just
-    past its entry.
+    order, as its entries alone, in row-major cell order; the row lengths
+    it adds up to are lam plus its content, so a filling costs its size,
+    not rank_bound.  An entry of 0 marks an unplaced cell, so the cursor k
+    steps back to a cell and resumes just past its entry.
     """
     if order is None:
         order = _row_reading(mu)
@@ -174,11 +173,11 @@ def _pruned_fillings(mu: Partition, lam: Partition, order: TotalOrder | None,
     limit = ([unbounded] * (rank_bound + 1) if cap is None
              else _row_lengths(unbounded, cap, rank_bound))
     entries = [0] * len(steps)
-    found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    found: list[tuple[int, ...]] = []
     k = 0
     while k >= 0:
         if k == len(steps):
-            found.append((tuple(entries), tuple(rows[1:])))
+            found.append(tuple(entries))
             k -= 1
             continue
         cell, right, above, below = steps[k]
@@ -203,8 +202,7 @@ def _pruned_fillings(mu: Partition, lam: Partition, order: TotalOrder | None,
     return found
 
 
-def _tableaux_of(shape: Partition, fillings: list[tuple[tuple[int, ...], tuple[int, ...]]]
-                 ) -> tuple[Tableau, ...]:
+def _tableaux_of(shape: Partition, fillings: list[tuple[int, ...]]) -> tuple[Tableau, ...]:
     """The tableaux of the shape's fillings, in lexicographic row-major order.
 
     Each filling is semistandard by construction, so it is not checked again.
@@ -212,7 +210,7 @@ def _tableaux_of(shape: Partition, fillings: list[tuple[tuple[int, ...], tuple[i
     bounds = list(accumulate(shape.parts, initial=0))
     spans = list(zip(bounds, bounds[1:]))
     return tuple(Tableau._unchecked(shape, tuple([entries[a:b] for a, b in spans]))
-                 for entries in sorted([entries for entries, _ in fillings]))
+                 for entries in sorted(fillings))
 
 
 @lru_cache(maxsize=None)
@@ -223,6 +221,8 @@ def enumerate_ssyt(shape: Partition, max_entry: int) -> tuple[Tableau, ...]:
     downstream listings reproducible.  A bound below the number of rows
     leaves nothing to enumerate.  The filling search runs onto a lam whose
     rows lie |shape| + 1 boxes apart: no row can catch up, so nothing is cut.
+    The search returns each filling as its entries alone, never the max_entry
+    row lengths of that lam, so a tableau costs its size, not the bound.
     """
     if len(shape) > max_entry:
         return ()

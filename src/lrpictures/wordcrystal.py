@@ -9,19 +9,22 @@ operator killing the element.
 
 The only consumer in this package is verify_embedding, which checks that
 reading tableaux along an admissible order gives a set of words closed
-under both operators; it checks the order and each word once, gets every
-index's operators on a word from one signature scan, and visits only the
-indices the word's letters touch, so a word costs its length, not the
-letter bound.
+under both operators.  It checks the order once, gathers each word from
+the tableau's row-major entries at the flat indices of the order's
+filling steps, range-checks each word by its least and greatest letter,
+gets every index's operators on a word from one signature scan, and
+visits only the indices the word's letters touch, so a word costs its
+length, not the letter bound.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .pictures import TotalOrder
 from .shapes import Partition
-from .tableaux import _check_reading_order, _letters_along, enumerate_ssyt
+from .tableaux import _check_reading_order, enumerate_ssyt
 # not used here; kept as wordcrystal.reading_by_order for the perfbench tracer test
 from .tableaux import reading_by_order  # noqa: F401
 
@@ -129,19 +132,28 @@ def verify_embedding(shape: Partition, max_entry: int,
     The image of the reading map must be closed under both operators:
     applying either to an image word yields None or another image word.
     The first violation is returned as the counterexample, trying words
-    in sorted order, then indices, then lowering before raising.
+    in sorted order, then indices, then lowering before raising.  Each
+    word is one gather along the order's filling steps, and a word with a
+    letter outside 1..max_entry raises ValueError before any operator runs.
     """
     _check_reading_order(order, shape)
-    image = {_letters_along(tab, order) for tab in enumerate_ssyt(shape, max_entry)}
+    # with one cell or none the word is the entries themselves: itemgetter
+    # returns a scalar for one index and needs at least one
+    n = shape.size
+    gather = itemgetter(*[cell for cell, _, _, _ in order._filling_steps]) if n > 1 else tuple
     # each word as an integer, one big-endian digit of `width` bytes per letter:
     # the codes sort as the words do, and an operator's result is one addition
     width = (max_entry.bit_length() + 7) // 8
     digits = [a.to_bytes(width, "big") for a in range(max_entry + 1)]
+    encode = bytes if width == 1 else lambda word: b"".join(map(digits.__getitem__, word))
     codes: dict[int, tuple[int, ...]] = {}
-    for word in image:
-        _check_letters(word, max_entry)
-        codes[int.from_bytes(b"".join(map(digits.__getitem__, word)), "big")] = word
-    bits, last = 8 * width, shape.size - 1
+    for tab in enumerate_ssyt(shape, max_entry):
+        word = gather(sum(tab.rows, ()))
+        if word and (min(word) < 1 or max(word) > max_entry):
+            _check_letters(word, max_entry)
+        codes[int.from_bytes(encode(word), "big")] = word
+    bits = 8 * width
+    place = [1 << (n - 1 - k) * bits for k in range(n)]
     unmatched = [0] * (max_entry + 1)
     plus = [-1] * (max_entry + 1)
     minus = [-1] * (max_entry + 1)
@@ -151,10 +163,10 @@ def verify_embedding(shape: Partition, max_entry: int,
         for i in _signature_ends(word, unmatched, plus, minus):
             if 1 <= i < max_entry:
                 k = plus[i]
-                if k >= 0 and code + (1 << (last - k) * bits) not in codes:
+                if k >= 0 and code + place[k] not in codes:
                     return _counterexample(word, "lowering", i, k, i + 1)
                 k = minus[i]
-                if k >= 0 and code - (1 << (last - k) * bits) not in codes:
+                if k >= 0 and code - place[k] not in codes:
                     return _counterexample(word, "raising", i, k, i)
             unmatched[i], plus[i], minus[i] = 0, -1, -1
     return EmbeddingReport(True, None)

@@ -1,14 +1,14 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrpictures import wordcrystal
 from lrpictures.pictures import (OrderCellMismatch, OrderNotAdmissible, TotalOrder,
                                  enumerate_admissible_orders)
 from lrpictures.shapes import Partition, cells, partitions_of
-from lrpictures.tableaux import make_tableau, reading_by_order
+from lrpictures.tableaux import Tableau, make_tableau, reading_by_order
 from lrpictures.wordcrystal import (IndexOutOfRange, lowering_operator,
                                     raising_operator, verify_embedding)
 
@@ -204,6 +204,38 @@ def test_dropped_tableaux_give_the_reference_counterexample(monkeypatch, shape, 
         report = verify_embedding(shape, 3, order)
         assert not report.ok
         assert tuple(report) == reference_embedding(shape, 3, order)
+
+
+# shapes up to 5 cells with at most 4 rows, so a bound of 4 leaves a tableau to drop
+small_shapes = [shape for size in range(6) for shape in partitions_of(size) if len(shape) <= 4]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_random_dropped_tableaux_give_the_reference_report(data):
+    shape = data.draw(st.sampled_from(small_shapes))
+    order = data.draw(st.sampled_from(enumerate_admissible_orders(cells(shape))))
+    max_entry = data.draw(st.integers(min_value=max(len(shape), 1), max_value=4))
+    real = wordcrystal.enumerate_ssyt
+    tabs = real(shape, max_entry)
+    dropped = data.draw(st.sets(st.sampled_from(range(len(tabs))), min_size=1))
+    kept = tuple(tab for k, tab in enumerate(tabs) if k not in dropped)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(wordcrystal, "enumerate_ssyt", lambda shape, max_entry: kept)
+        assert tuple(verify_embedding(shape, max_entry, order)) == reference_embedding(
+            shape, max_entry, order)
+
+
+# an entry above the bound raises before any operator is tried, so the word
+# (1,), whose lowering (2,) is missing and which sorts first, gives no report;
+# 256 under the bound 255 would not fit the one-byte codes, and 0 is below 1
+@pytest.mark.parametrize("max_entry, bad", [(3, 4), (255, 256), (300, 301), (300, 0)])
+def test_letters_above_the_bound_raise_before_any_operator(monkeypatch, max_entry, bad):
+    cell = Partition((1,))
+    tabs = (make_tableau(cell, ((1,),)), Tableau._unchecked(cell, ((bad,),)))
+    monkeypatch.setattr(wordcrystal, "enumerate_ssyt", lambda shape, max_entry: tabs)
+    with pytest.raises(ValueError, match=rf"^letter {bad} outside 1\.\.{max_entry}$"):
+        verify_embedding(cell, max_entry, TotalOrder.jay(cells(cell)))
 
 
 # with letters above 255 each letter takes two bytes in the word codes; a few
