@@ -18,9 +18,9 @@ and conjecture_experiment build their pictures through
 Picture._unchecked: _psi_pairs lists the cells of mu in row-major order
 and gives each entry value's cells distinct columns, so its pairs are
 already sorted by source with no target repeated.  Whether such a
-pairing is a picture is decided where it is used: verify_bijection
-compares it with the enumerated pictures, and conjecture_experiment runs
-is_picture on it.
+pairing is a picture is decided where it is used, by membership in the
+enumerated pictures: verify_bijection's for the row readings,
+conjecture_experiment's for its order pair.
 
 lr_coefficient_lattice is a deliberately separate oracle: it counts
 lattice-word fillings of the skew shape by a backtracking loop of its own
@@ -37,6 +37,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import index
 from typing import Iterator, NamedTuple
 
 from .pictures import (Picture, SizeMismatch, TotalOrder, _row_reading,
@@ -80,8 +81,8 @@ class LRInstance:
         if not self.nu.contains(self.lam):
             raise NotContained(
                 f"{self.lam.parts} does not fit inside {self.nu.parts}")
-        if self.rank_bound is None:
-            object.__setattr__(self, "rank_bound", max(1, len(self.nu)))
+        object.__setattr__(self, "rank_bound", max(1, len(self.nu))
+                           if self.rank_bound is None else index(self.rank_bound))
         if self.rank_bound < max(1, len(self.nu)):
             raise RankTooSmall(
                 f"rank bound {self.rank_bound} below the {len(self.nu)} rows of the target")
@@ -393,18 +394,19 @@ def conjecture_experiment(inst: LRInstance, codomain_order: TotalOrder,
     psi itself is unchanged from the row-reading case; only the filter and
     the picture set vary with the orders.  The report states whether every
     image is such a picture, whether psi is injective on the filter, and
-    whether every picture is hit.
+    whether every picture is hit.  An image is such a picture exactly when
+    enumerate_pictures, which returns every picture of the pair, lists it:
+    both sort their pairs by source, so equal pairings are equal Pictures.
     """
     tabs = lr_filter(inst, domain_order)
     pics = set(enumerate_pictures(inst.mu, inst.skew_shape,
                                   domain_order, codomain_order))
     images = [Picture._unchecked(_psi_pairs(tab, inst.lam)) for tab in tabs]
     image_set = set(images)
-    well_defined = all(is_picture(p, domain_order, codomain_order) for p in images)
     return ConjectureReport(
         inst, codomain_order, domain_order,
         crystals=len(tabs), pictures=len(pics),
-        well_defined=well_defined,
+        well_defined=image_set <= pics,
         injective=len(image_set) == len(images),
         surjective=pics <= image_set,
     )
@@ -412,9 +414,10 @@ def conjecture_experiment(inst: LRInstance, codomain_order: TotalOrder,
 
 def instances_of_size(total: int) -> Iterator[LRInstance]:
     """All instances whose target shape has the given size, deterministically."""
+    mus = [partitions_of(size) for size in range(total + 1)]
     for nu in partitions_of(total):
         for lam in subpartitions(nu):
-            for mu in partitions_of(total - lam.size):
+            for mu in mus[total - lam.size]:
                 yield LRInstance(lam, mu, nu)
 
 

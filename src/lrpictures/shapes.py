@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import index
 from typing import Iterable, Iterator, NamedTuple
 
 Cell = tuple[int, int]
@@ -36,7 +37,7 @@ class Partition:
     parts: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        parts = tuple(self.parts)
+        parts = tuple(map(index, self.parts))
         for k, p in enumerate(parts):
             if p < 0:
                 raise NegativePart(f"part {k + 1} is {p}")

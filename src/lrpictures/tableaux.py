@@ -14,8 +14,8 @@ Word(...) canonicalises its letters and cells; a non-integral entry or
 coordinate raises TypeError.  The tableaux that enumerate_ssyt and lr_filter return
 are built by _tableaux_of through Tableau._unchecked, without that check:
 the search fills each cell with an int above the cell over it and at most
-the cell to its right, so every filling it returns is semistandard, and
-re-checking it cost most of the time of building the tableau.  The
+the cell to its right, so every filling it returns is semistandard.  A
+tableau then costs one gather of its rows and two slot stores.  The
 search's steps along an order are kept on the TotalOrder, with the
 pictures tables, so a filter run along the same order again, as the
 order-pair experiment does, skips building them; the default order is the
@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from operator import index
+from operator import index, itemgetter
 from typing import Iterable, Sequence
 
 from .pictures import OrderCellMismatch, OrderNotAdmissible, TotalOrder, _row_reading
@@ -86,10 +86,11 @@ class Tableau:
         The caller guarantees that rows is a tuple of tuples of ints, one
         per part of the shape and as long as it, with positive entries
         weakly increasing along rows and strictly increasing down columns.
+        The slots are set through their descriptors, past the frozen __setattr__.
         """
         tab = object.__new__(cls)
-        object.__setattr__(tab, "shape", shape)
-        object.__setattr__(tab, "rows", rows)
+        _set_shape(tab, shape)
+        _set_rows(tab, rows)
         return tab
 
     def entry(self, cell: Cell) -> int:
@@ -108,6 +109,10 @@ class Tableau:
 
     def to_json(self) -> dict:
         return {"shape": self.shape.to_json(), "rows": [list(r) for r in self.rows]}
+
+
+_set_shape = Tableau.__dict__["shape"].__set__
+_set_rows = Tableau.__dict__["rows"].__set__
 
 
 @dataclass(frozen=True, slots=True)
@@ -206,11 +211,16 @@ def _tableaux_of(shape: Partition, fillings: list[tuple[int, ...]]) -> tuple[Tab
     """The tableaux of the shape's fillings, in lexicographic row-major order.
 
     Each filling is semistandard by construction, so it is not checked again.
+    One itemgetter of the row slices gathers a filling's rows; it returns
+    a tuple only for two or more, so 0 or 1 rows take the entries whole.
     """
+    if not fillings:
+        return ()
     bounds = list(accumulate(shape.parts, initial=0))
-    spans = list(zip(bounds, bounds[1:]))
-    return tuple(Tableau._unchecked(shape, tuple([entries[a:b] for a, b in spans]))
-                 for entries in sorted(fillings))
+    rows_of = (itemgetter(*map(slice, bounds, bounds[1:])) if len(shape) > 1
+               else lambda entries: (entries,) * len(shape))
+    make = Tableau._unchecked
+    return tuple([make(shape, rows_of(entries)) for entries in sorted(fillings)])
 
 
 @lru_cache(maxsize=None)

@@ -6,16 +6,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lrpictures import lr
-from lrpictures.lr import (BijectionReport, LRInstance, NotAPicture, NotLRCrystal,
-                           RankTooSmall, _in_lr_crystal, _psi_pairs, _read_and_add,
-                           conjecture_experiment, conjecture_sweep,
+from lrpictures.lr import (BijectionReport, ConjectureReport, LRInstance, NotAPicture,
+                           NotLRCrystal, RankTooSmall, _in_lr_crystal, _psi_pairs,
+                           _read_and_add, conjecture_experiment, conjecture_sweep,
                            decompose_tensor, instances_of_size, iter_instances,
                            lemma_add_check, lemma_destination_check,
                            lr_coefficient_all_methods, lr_coefficient_lattice,
                            lr_filter, phi, psi, sweep, verify_bijection)
 from lrpictures.pictures import (OrderCellMismatch, OrderNotAdmissible, Picture,
                                  SizeMismatch, TotalOrder, enumerate_admissible_orders,
-                                 enumerate_pictures)
+                                 enumerate_pictures, is_picture)
 from lrpictures.shapes import NotContained, Partition, cells, partitions_of, subpartitions
 from lrpictures.tableaux import (ColumnNotStrictlyIncreasing, RowNotWeaklyIncreasing,
                                  enumerate_ssyt, make_tableau, p_function)
@@ -42,6 +42,17 @@ def test_instance_validation():
     with pytest.raises(RankTooSmall):
         LRInstance(Partition((3, 1, 1)), Partition((3, 2)),
                    Partition((4, 3, 2, 1)), rank_bound=3)
+
+
+@pytest.mark.parametrize("bound", [1.5, 2.0, "3"])
+def test_rank_bound_must_be_an_integer(bound):
+    with pytest.raises(TypeError):
+        LRInstance(Partition(()), Partition((1,)), Partition((1,)), rank_bound=bound)
+
+
+def test_a_bool_rank_bound_becomes_an_int():
+    assert type(LRInstance(Partition(()), Partition((1,)), Partition((1,)),
+                           rank_bound=True).rank_bound) is int
 
 
 def test_instance_defaults():
@@ -244,6 +255,38 @@ def test_conjecture_sweep_is_complete():
         for inst in iter_instances(2))
     assert len(rows) == expected
     assert all(isinstance(r.to_json()["verdict"], str) for r in rows)
+
+
+def reference_experiment(inst, codomain_order, domain_order):
+    """The experiment judging each psi image by is_picture, as it did before
+    it tested membership in the pair's enumerated pictures."""
+    tabs = lr_filter(inst, domain_order)
+    pics = set(enumerate_pictures(inst.mu, inst.skew_shape, domain_order, codomain_order))
+    images = [Picture(_psi_pairs(tab, inst.lam)) for tab in tabs]
+    image_set = set(images)
+    return ConjectureReport(
+        inst, codomain_order, domain_order, crystals=len(tabs), pictures=len(pics),
+        well_defined=all(is_picture(p, domain_order, codomain_order) for p in images),
+        injective=len(image_set) == len(images), surjective=pics <= image_set)
+
+
+def test_conjecture_experiment_matches_the_is_picture_reference():
+    rows = conjecture_sweep(7)
+    assert len(rows) == 3600
+    for row in rows:
+        assert row == reference_experiment(row.instance, row.codomain_order,
+                                           row.domain_order)
+
+
+def test_a_psi_image_missing_from_the_pictures_is_not_well_defined(monkeypatch):
+    inst = ref_instance()
+    real_enumerate = lr.enumerate_pictures
+    monkeypatch.setattr(lr, "enumerate_pictures", lambda *args: real_enumerate(*args)[1:])
+    row = conjecture_experiment(inst, TotalOrder.jay(inst.skew_shape.cells()),
+                                TotalOrder.jay(cells(inst.mu)))
+    assert (row.crystals, row.pictures) == (2, 1)
+    assert row.injective and row.surjective
+    assert not row.well_defined and not row.holds
 
 
 def test_bijection_report_shape_for_failures():

@@ -25,6 +25,16 @@ def test_bad_part_sequences_are_rejected():
         Partition((3, -1))
 
 
+@pytest.mark.parametrize("part", [1.5, 2.0, "3"])
+def test_parts_must_be_integers(part):
+    with pytest.raises(TypeError):
+        Partition((3, part))
+
+
+def test_bool_parts_become_ints():
+    assert [type(p) for p in Partition((True, True, False)).parts] == [int, int]
+
+
 def test_part_lookup_is_one_based():
     shape = Partition((3, 1))
     assert shape.part(1) == 3
