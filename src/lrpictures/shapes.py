@@ -44,8 +44,9 @@ class Partition:
             if k > 0 and parts[k - 1] < p:
                 raise NotWeaklyDecreasing(
                     f"part {k} is {parts[k - 1]} but part {k + 1} is {p}")
-        while parts and parts[-1] == 0:
-            parts = parts[:-1]
+        # the parts weakly decrease, so every part from the first zero on is zero
+        if 0 in parts:
+            parts = parts[:parts.index(0)]
         object.__setattr__(self, "parts", parts)
 
     def __len__(self) -> int:

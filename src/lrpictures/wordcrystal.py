@@ -12,9 +12,14 @@ reading tableaux along an admissible order gives a set of words closed
 under both operators.  It checks the order once, gathers each word from
 the tableau's row-major entries at the flat indices of the order's
 filling steps, range-checks each word by its least and greatest letter,
-gets every index's operators on a word from one signature scan, and
-visits only the indices the word's letters touch, so a word costs its
-length, not the letter bound.
+and holds the words as integer codes.  A fast pass then takes the words
+in tableau order: one signature scan per word gives every index's
+operators, and a second loop over the same letters tests each result by
+one code lookup and resets only the state that letter wrote, so a word
+costs its length, not the letter bound, and builds no set, list or sort.
+Only when a result falls outside the image does an exact scan run, over
+the words in sorted order, to name the same first counterexample a
+per-index check would.
 """
 
 from __future__ import annotations
@@ -135,6 +140,9 @@ def verify_embedding(shape: Partition, max_entry: int,
     in sorted order, then indices, then lowering before raising.  Each
     word is one gather along the order's filling steps, and a word with a
     letter outside 1..max_entry raises ValueError before any operator runs.
+    A fast pass tests every word's results in tableau order and returns ok
+    when all are in the image; at its first miss, _first_counterexample
+    runs the exact scan in the canonical order to pick the counterexample.
     """
     _check_reading_order(order, shape)
     # with one cell or none the word is the entries themselves: itemgetter
@@ -152,8 +160,45 @@ def verify_embedding(shape: Partition, max_entry: int,
         if word and (min(word) < 1 or max(word) > max_entry):
             _check_letters(word, max_entry)
         codes[int.from_bytes(encode(word), "big")] = word
-    bits = 8 * width
-    place = [1 << (n - 1 - k) * bits for k in range(n)]
+    place = [1 << (n - 1 - k) * 8 * width for k in range(n)]
+    # the fast pass: the words in tableau order, each with _signature_ends'
+    # scan inline and one check loop over its letters.  Only letter i raises
+    # unmatched[i], and plus[i] is read only while unmatched[i] is set, so
+    # resetting unmatched[a] and minus[a - 1] for each letter a restores the
+    # arrays; minus[0] belongs to no operator and is never read
+    unmatched = [0] * (max_entry + 1)
+    plus = [-1] * (max_entry + 1)
+    minus = [-1] * (max_entry + 1)
+    for code, word in codes.items():
+        for k, a in enumerate(word):
+            if unmatched[a - 1]:
+                unmatched[a - 1] -= 1
+            else:
+                minus[a - 1] = k
+            if not unmatched[a]:
+                plus[a] = k
+            unmatched[a] += 1
+        for a in word:
+            if unmatched[a]:
+                if a < max_entry and code + place[plus[a]] not in codes:
+                    return _first_counterexample(codes, place, max_entry)
+                unmatched[a] = 0
+            k = minus[a - 1]
+            if k >= 0 and a > 1:
+                if code - place[k] not in codes:
+                    return _first_counterexample(codes, place, max_entry)
+                minus[a - 1] = -1
+    return EmbeddingReport(True, None)
+
+
+def _first_counterexample(codes: dict[int, tuple[int, ...]], place: list[int],
+                          max_entry: int) -> EmbeddingReport:
+    """The first operator result outside the image, trying words in sorted
+    order, then indices, then lowering before raising; ok if there is none.
+
+    codes maps each image word's code to the word, and place[k] is the code
+    of letter 1 at position k, so an operator's result is one addition.
+    """
     unmatched = [0] * (max_entry + 1)
     plus = [-1] * (max_entry + 1)
     minus = [-1] * (max_entry + 1)

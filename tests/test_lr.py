@@ -181,6 +181,12 @@ def test_decompose_two_boxes():
     assert {k.parts: v for k, v in table.items()} == {(2,): 1, (1, 1): 1}
 
 
+def test_decompose_at_a_large_rank_strips_the_padded_zeros():
+    # every final shape is padded to rank_bound parts before it becomes a Partition
+    table = decompose_tensor(Partition((1,)), Partition((1,)), 20_000)
+    assert {k.parts: v for k, v in table.items()} == {(2,): 1, (1, 1): 1}
+
+
 def test_decompose_hook_squared():
     table = decompose_tensor(Partition((2, 1)), Partition((2, 1)), 5)
     assert {k.parts: v for k, v in table.items()} == {

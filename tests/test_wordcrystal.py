@@ -206,6 +206,51 @@ def test_dropped_tableaux_give_the_reference_counterexample(monkeypatch, shape, 
         assert tuple(report) == reference_embedding(shape, 3, order)
 
 
+# the exact scan sorts every word and allocates per word; a closed image must
+# pass the fast pass alone, so no slip in its resets falls back unseen
+def test_closed_images_never_reach_the_exact_scan(monkeypatch):
+    def exact_scan(*args):
+        raise AssertionError("fell back on a closed image")
+    monkeypatch.setattr(wordcrystal, "_first_counterexample", exact_scan)
+    for size in range(6):
+        for shape in partitions_of(size):
+            for order in enumerate_admissible_orders(cells(shape)):
+                for max_entry in range(1, 6):
+                    assert verify_embedding(shape, max_entry, order).ok
+    assert verify_embedding(Partition((1, 1)), 300, TotalOrder.jay(cells(Partition((1, 1))))).ok
+
+
+def _failing_words(words, max_entry):
+    """The words, in their given order, with an operator result outside them."""
+    image = set(words)
+    return [word for word in words
+            if any(result is not None and result not in image
+                   for i in range(1, max_entry)
+                   for result in (lowering_operator(word, i, max_entry),
+                                  raising_operator(word, i, max_entry)))]
+
+
+# the fast pass meets the words in tableau order, so its first miss can come
+# after a smaller failing word; the reported counterexample must still be the
+# reference's, the first in sorted order.  Under the column reading of (2,1)
+# with bound 3, dropping the last tableau (23/3) first fails at the word 313
+# in tableau order but at 223 in sorted order, and reversing the tableaux
+# with the first (11/2) dropped first fails at 212 against 113.
+@pytest.mark.parametrize("dropped, reverse", [(7, False), (0, True)])
+def test_insertion_order_misses_give_the_sorted_counterexample(monkeypatch, dropped, reverse):
+    shape = Partition((2, 1))
+    order = TotalOrder.eff(cells(shape))
+    tabs = [tab for k, tab in enumerate(wordcrystal.enumerate_ssyt(shape, 3)) if k != dropped]
+    if reverse:
+        tabs.reverse()
+    failing = _failing_words([reading_by_order(tab, order).letters for tab in tabs], 3)
+    assert failing[0] != min(failing)
+    monkeypatch.setattr(wordcrystal, "enumerate_ssyt", lambda shape, max_entry: tuple(tabs))
+    report = verify_embedding(shape, 3, order)
+    assert report.counterexample["word"] == list(min(failing))
+    assert tuple(report) == reference_embedding(shape, 3, order)
+
+
 # shapes up to 5 cells with at most 4 rows, so a bound of 4 leaves a tableau to drop
 small_shapes = [shape for size in range(6) for shape in partitions_of(size) if len(shape) <= 4]
 
