@@ -123,10 +123,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     inst = _instance(args)
     triple = lr_coefficient_all_methods(inst)
     if args.format == "json":
-        _emit_json({"instance": inst.to_json(),
-                    "counts": {"pictures": triple.pictures,
-                               "crystals": triple.crystals,
-                               "lattice": triple.lattice}})
+        _emit_json({"instance": inst.to_json(), "counts": triple._asdict()})
     else:
         print(f"pictures={triple.pictures} crystals={triple.crystals} lattice={triple.lattice}")
     return 0
@@ -298,11 +295,6 @@ _PARTITION_HELP = "comma-separated parts, e.g. 3,1,1; use - for the empty shape"
 _ORDER_HELP = "jay, eff, or index:<k> into the admissible order listing"
 
 
-def _add_format(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("text", "json"), default="text",
-                        help="output encoding (default text)")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lrpictures",
@@ -335,7 +327,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if max_size:
             p.add_argument("--max-size", dest="max_size", type=int, metavar="N",
                            help="largest target size to cover")
-        _add_format(p)
+        p.add_argument("--format", choices=("text", "json"), default="text",
+                       help="output encoding (default text)")
         return p
 
     verb("count", "picture, crystal, and lattice counts for one instance",

@@ -35,14 +35,13 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import index
 from typing import Iterator, NamedTuple
 
 from .pictures import (Picture, SizeMismatch, TotalOrder, _row_reading,
                        enumerate_admissible_orders, enumerate_pictures, is_picture)
-from .shapes import (AdditionResult, Cell, NotContained, Partition, SkewShape,
+from .shapes import (AdditionResult, Cell, NotContained, Partition, SkewShape, Value,
                      add_sequence, cells, partitions_of, subpartitions)
 from .tableaux import Tableau, Word, _pruned_fillings, _tableaux_of, reading_by_order
 # not used here; kept as lr.enumerate_ssyt, a name the perfbench tracer test patches
@@ -61,31 +60,35 @@ class NotLRCrystal(ValueError):
     """The tableau is not in the filtered crystal for this instance."""
 
 
-@dataclass(frozen=True)
-class LRInstance:
+class LRInstance(Value):
     """Three shapes with compatible sizes, plus the entry bound for tableaux.
 
     rank_bound defaults to the number of rows of nu: entries name rows
     added to lam, and a letter beyond that count could never land on nu.
     """
 
-    lam: Partition
-    mu: Partition
-    nu: Partition
-    rank_bound: int | None = None
+    _fields = ("lam", "mu", "nu", "rank_bound")
 
-    def __post_init__(self) -> None:
-        if self.lam.size + self.mu.size != self.nu.size:
-            raise SizeMismatch(
-                f"sizes must add up: {self.lam.size} + {self.mu.size} != {self.nu.size}")
-        if not self.nu.contains(self.lam):
-            raise NotContained(
-                f"{self.lam.parts} does not fit inside {self.nu.parts}")
-        object.__setattr__(self, "rank_bound", max(1, len(self.nu))
-                           if self.rank_bound is None else index(self.rank_bound))
-        if self.rank_bound < max(1, len(self.nu)):
+    def __init__(self, lam: Partition, mu: Partition, nu: Partition,
+                 rank_bound: int | None = None) -> None:
+        if lam.size + mu.size != nu.size:
+            raise SizeMismatch(f"sizes must add up: {lam.size} + {mu.size} != {nu.size}")
+        if not nu.contains(lam):
+            raise NotContained(f"{lam.parts} does not fit inside {nu.parts}")
+        rank_bound = max(1, len(nu)) if rank_bound is None else index(rank_bound)
+        if rank_bound < max(1, len(nu)):
             raise RankTooSmall(
-                f"rank bound {self.rank_bound} below the {len(self.nu)} rows of the target")
+                f"rank bound {rank_bound} below the {len(nu)} rows of the target")
+        for name, value in zip(self._fields, (lam, mu, nu, rank_bound)):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        return ((self.lam, self.mu, self.nu, self.rank_bound)
+                == (other.lam, other.mu, other.nu, other.rank_bound)
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __hash__(self) -> int:
+        return hash((self.lam, self.mu, self.nu, self.rank_bound))
 
     @cached_property
     def skew_shape(self) -> SkewShape:
@@ -176,8 +179,7 @@ def psi(tab: Tableau, inst: LRInstance) -> Picture:
     return Picture._unchecked(_psi_pairs(tab, inst.lam))
 
 
-@dataclass(frozen=True)
-class BijectionReport:
+class BijectionReport(NamedTuple):
     """Outcome of checking the picture-crystal correspondence on one instance."""
 
     instance: LRInstance
@@ -358,8 +360,7 @@ def lr_coefficient_all_methods(inst: LRInstance) -> CountTriple:
     )
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
+class ConjectureReport(NamedTuple):
     """One order pair's outcome: does psi biject the filtered crystal onto
     the generalized picture set for that pair.  Reports only; asserts nothing."""
 
@@ -434,8 +435,7 @@ class SizeSummary(NamedTuple):
     max_coefficient: int
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     """Aggregate outcome of verify_bijection over every instance up to a size."""
 
     max_size: int

@@ -45,12 +45,11 @@ search's result.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import index
 from typing import Iterable, Mapping
 
-from .shapes import Cell, Partition, SkewShape, cells
+from .shapes import Cell, Partition, SkewShape, Value, cells
 
 
 class OrderCellMismatch(ValueError):
@@ -88,20 +87,25 @@ def leq_F(a: Cell, b: Cell) -> bool:
     return _eff_key(a) <= _eff_key(b)
 
 
-@dataclass(frozen=True)
-class TotalOrder:
+class TotalOrder(Value):
     """A total order on a finite cell set, materialized as a listing.
 
     Earlier in the listing means smaller in the order.
     """
 
-    cells: tuple[Cell, ...]
+    _fields = ("cells",)
 
-    def __post_init__(self) -> None:
-        listing = tuple((index(r), index(c)) for r, c in self.cells)
+    def __init__(self, cells: tuple[Cell, ...]) -> None:
+        listing = tuple((index(r), index(c)) for r, c in cells)
         if len(set(listing)) != len(listing):
             raise ValueError("listing repeats a cell")
         object.__setattr__(self, "cells", listing)
+
+    def __eq__(self, other: object) -> bool:
+        return self.cells == other.cells if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.cells,))
 
     @classmethod
     def jay(cls, cell_set: Iterable[Cell]) -> TotalOrder:
@@ -251,9 +255,7 @@ def enumerate_admissible_orders(cell_set: Iterable[Cell],
     """
     key = tuple(sorted(set(cell_set)))
     orders = _admissible_orders(key)
-    if limit is not None:
-        return orders[:max(limit, 0)]
-    return orders
+    return orders if limit is None else orders[:max(limit, 0)]
 
 
 def _direct_predecessors(todo: tuple[Cell, ...]) -> dict[Cell, set[Cell]]:
@@ -336,15 +338,14 @@ def is_standard(mapping: Mapping[Cell, Cell], codomain_order: TotalOrder) -> boo
     return True
 
 
-@dataclass(frozen=True)
-class Picture:
+class Picture(Value):
     """A bijection between two cell sets, stored as pairs sorted by source."""
 
-    pairs: tuple[tuple[Cell, Cell], ...]
+    _fields = ("pairs",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, pairs: tuple[tuple[Cell, Cell], ...]) -> None:
         pairs = tuple(sorted(((index(a), index(b)), (index(c), index(d)))
-                             for (a, b), (c, d) in self.pairs))
+                             for (a, b), (c, d) in pairs))
         if len({p[0] for p in pairs}) != len(pairs):
             raise ValueError("pairing repeats a source cell")
         if len({p[1] for p in pairs}) != len(pairs):
@@ -353,7 +354,7 @@ class Picture:
 
     @classmethod
     def _unchecked(cls, pairs: tuple[tuple[Cell, Cell], ...]) -> Picture:
-        """A picture built without __post_init__'s checks.
+        """A picture built without __init__'s checks.
 
         The caller guarantees that pairs holds cells of two ints, sorted
         by source, with no source and no target repeated.
@@ -361,6 +362,12 @@ class Picture:
         pic = object.__new__(cls)
         object.__setattr__(pic, "pairs", pairs)
         return pic
+
+    def __eq__(self, other: object) -> bool:
+        return self.pairs == other.pairs if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.pairs,))
 
     @cached_property
     def mapping(self) -> dict[Cell, Cell]:

@@ -6,11 +6,15 @@ i to a shape appends one box to row i; a sequence of additions is valid
 only when every intermediate shape is again a partition, and the filters
 built on top of this module count the invalid sequences rather than
 rejecting them.
+
+Partition, SkewShape and the other validated types (Tableau, Word,
+TotalOrder, Picture, LRInstance) derive from Value: immutable, checked in
+__init__, compared and hashed by their field values.  Unchecked records,
+like AdditionResult and the lr reports, are NamedTuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import index
 from typing import Iterable, Iterator, NamedTuple
@@ -30,14 +34,36 @@ class NotContained(ValueError):
     """The inner shape sticks out of the outer one."""
 
 
-@dataclass(frozen=True, slots=True)
-class Partition:
+class Value:
+    """Base of the validated value types.  A subclass names its fields in
+    _fields, sets them once in __init__ past __setattr__, and defines __eq__
+    (same class only) and __hash__ (that of the tuple of field values);
+    copies and pickles are rebuilt through __init__."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple[type, tuple]:
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+class Partition(Value):
     """Weakly decreasing nonnegative parts, stored with trailing zeros stripped."""
 
-    parts: tuple[int, ...] = ()
+    __slots__ = _fields = ("parts",)
 
-    def __post_init__(self) -> None:
-        parts = tuple(map(index, self.parts))
+    def __init__(self, parts: tuple[int, ...] = ()) -> None:
+        parts = tuple(map(index, parts))
         for k, p in enumerate(parts):
             if p < 0:
                 raise NegativePart(f"part {k + 1} is {p}")
@@ -48,6 +74,12 @@ class Partition:
         if 0 in parts:
             parts = parts[:parts.index(0)]
         object.__setattr__(self, "parts", parts)
+
+    def __eq__(self, other: object) -> bool:
+        return self.parts == other.parts if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
 
     def __len__(self) -> int:
         return len(self.parts)
@@ -86,17 +118,23 @@ def cells(shape: Partition) -> tuple[Cell, ...]:
                  for j in range(1, p + 1))
 
 
-@dataclass(frozen=True, slots=True)
-class SkewShape:
+class SkewShape(Value):
     """The cells of an outer shape not covered by an inner one."""
 
-    outer: Partition
-    inner: Partition
+    __slots__ = _fields = ("outer", "inner")
 
-    def __post_init__(self) -> None:
-        if not self.outer.contains(self.inner):
-            raise NotContained(
-                f"{self.inner.parts} does not fit inside {self.outer.parts}")
+    def __init__(self, outer: Partition, inner: Partition) -> None:
+        if not outer.contains(inner):
+            raise NotContained(f"{inner.parts} does not fit inside {outer.parts}")
+        object.__setattr__(self, "outer", outer)
+        object.__setattr__(self, "inner", inner)
+
+    def __eq__(self, other: object) -> bool:
+        return ((self.outer, self.inner) == (other.outer, other.inner)
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __hash__(self) -> int:
+        return hash((self.outer, self.inner))
 
     @property
     def size(self) -> int:
@@ -104,12 +142,18 @@ class SkewShape:
 
     def cells(self) -> tuple[Cell, ...]:
         """Skew cells, row-major."""
-        return tuple((i, j)
-                     for i, p in enumerate(self.outer.parts, start=1)
-                     for j in range(self.inner.part(i) + 1, p + 1))
+        return _skew_cells(self.outer.parts, self.inner.parts)
 
     def to_json(self) -> dict:
         return {"outer": self.outer.to_json(), "inner": self.inner.to_json()}
+
+
+@lru_cache(maxsize=None)
+def _skew_cells(outer: tuple[int, ...], inner: tuple[int, ...]) -> tuple[Cell, ...]:
+    """SkewShape.cells, kept per pair of part tuples as cells keeps each partition's."""
+    inner += (0,) * (len(outer) - len(inner))
+    return tuple((i, j) for i, (p, q) in enumerate(zip(outer, inner), start=1)
+                 for j in range(q + 1, p + 1))
 
 
 def skew(outer: Partition, inner: Partition) -> SkewShape:
@@ -129,8 +173,7 @@ class AdditionStep(NamedTuple):
     valid: bool
 
 
-@dataclass(frozen=True, slots=True)
-class AdditionResult:
+class AdditionResult(NamedTuple):
     """Outcome of adding a letter sequence to a shape, one box per step.
 
     steps records every attempted addition up to and including the first

@@ -24,14 +24,13 @@ partition's shared row reading.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from operator import index, itemgetter
 from typing import Iterable, Sequence
 
 from .pictures import OrderCellMismatch, OrderNotAdmissible, TotalOrder, _row_reading
-from .shapes import Cell, Partition, cells
+from .shapes import Cell, Partition, Value, cells
 
 
 class ShapeMismatch(ValueError):
@@ -54,20 +53,17 @@ class EntryExceedsBound(ValueError):
     """An entry is larger than the stated bound."""
 
 
-@dataclass(frozen=True, slots=True)
-class Tableau:
+class Tableau(Value):
     """A semistandard filling of a partition shape."""
 
-    shape: Partition
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("shape", "rows")
 
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(map(index, row)) for row in self.rows)
-        object.__setattr__(self, "rows", rows)
-        if len(rows) != len(self.shape) or any(
-                len(row) != p for row, p in zip(rows, self.shape.parts)):
+    def __init__(self, shape: Partition, rows: tuple[tuple[int, ...], ...]) -> None:
+        rows = tuple(tuple(map(index, row)) for row in rows)
+        if len(rows) != len(shape) or any(
+                len(row) != p for row, p in zip(rows, shape.parts)):
             raise ShapeMismatch(
-                f"row lengths {[len(r) for r in rows]} vs shape {self.shape.parts}")
+                f"row lengths {[len(r) for r in rows]} vs shape {shape.parts}")
         for i, row in enumerate(rows):
             for j, value in enumerate(row):
                 if value < 1:
@@ -78,10 +74,12 @@ class Tableau:
                 if i > 0 and rows[i - 1][j] >= value:
                     raise ColumnNotStrictlyIncreasing(
                         f"column {j + 1} has {rows[i - 1][j]} above {value}")
+        _set_shape(self, shape)
+        _set_rows(self, rows)
 
     @classmethod
     def _unchecked(cls, shape: Partition, rows: tuple[tuple[int, ...], ...]) -> Tableau:
-        """A tableau built without __post_init__'s checks.
+        """A tableau built without __init__'s checks.
 
         The caller guarantees that rows is a tuple of tuples of ints, one
         per part of the shape and as long as it, with positive entries
@@ -92,6 +90,13 @@ class Tableau:
         _set_shape(tab, shape)
         _set_rows(tab, rows)
         return tab
+
+    def __eq__(self, other: object) -> bool:
+        return ((self.shape, self.rows) == (other.shape, other.rows)
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __hash__(self) -> int:
+        return hash((self.shape, self.rows))
 
     def entry(self, cell: Cell) -> int:
         i, j = cell
@@ -115,22 +120,27 @@ _set_shape = Tableau.__dict__["shape"].__set__
 _set_rows = Tableau.__dict__["rows"].__set__
 
 
-@dataclass(frozen=True, slots=True)
-class Word:
+class Word(Value):
     """Letters read from a tableau, paired with the cell each came from."""
 
-    letters: tuple[int, ...]
-    source_cells: tuple[Cell, ...]
+    __slots__ = _fields = ("letters", "source_cells")
 
-    def __post_init__(self) -> None:
-        letters = tuple(map(index, self.letters))
-        sources = tuple((index(r), index(c)) for r, c in self.source_cells)
+    def __init__(self, letters: tuple[int, ...], source_cells: tuple[Cell, ...]) -> None:
+        letters = tuple(map(index, letters))
+        sources = tuple((index(r), index(c)) for r, c in source_cells)
         if len(letters) != len(sources):
             raise ValueError("letters and source cells must have equal length")
         if len(set(sources)) != len(sources):
             raise ValueError("source cells repeat")
         object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "source_cells", sources)
+
+    def __eq__(self, other: object) -> bool:
+        return ((self.letters, self.source_cells) == (other.letters, other.source_cells)
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __hash__(self) -> int:
+        return hash((self.letters, self.source_cells))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -274,15 +284,10 @@ def _check_reading_order(order: TotalOrder, shape: Partition) -> None:
         raise OrderNotAdmissible("the listing is not an admissible order")
 
 
-def _letters_along(tab: Tableau, order: TotalOrder) -> tuple[int, ...]:
-    """Entries along an order already checked against the tableau's shape."""
-    return tuple(tab.rows[i - 1][j - 1] for i, j in order.cells)
-
-
 def reading_by_order(tab: Tableau, order: TotalOrder) -> Word:
     """Read entries along an admissible total order on the shape's cells."""
     _check_reading_order(order, tab.shape)
-    return Word(_letters_along(tab, order), order.cells)
+    return Word(tuple(tab.rows[i - 1][j - 1] for i, j in order.cells), order.cells)
 
 
 def weight(tab: Tableau, max_entry: int) -> tuple[int, ...]:

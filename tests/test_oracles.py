@@ -10,6 +10,7 @@ Fulton, Young Tableaux, section 2.
 
 import builtins
 import dis
+from itertools import accumulate
 from types import CodeType
 
 from hypothesis import assume, example, given, settings
@@ -17,8 +18,8 @@ from hypothesis import strategies as st
 
 from lrpictures import lr, pictures, shapes, tableaux
 from lrpictures.lr import LRInstance, iter_instances, lr_coefficient_lattice, lr_filter
-from lrpictures.pictures import enumerate_pictures
-from lrpictures.shapes import Partition
+from lrpictures.pictures import enumerate_admissible_orders, enumerate_pictures
+from lrpictures.shapes import Partition, cells
 
 
 def conjugate(shape):
@@ -126,3 +127,40 @@ def test_the_lattice_oracle_loads_nothing_the_other_paths_define():
         assert owner not in {module.__name__ for module in others}, name
         if owner is None:
             assert all(vars(module).get(name) is not value for module in others), name
+
+
+def dominates(mu, alpha):
+    """Every prefix sum of mu is at least alpha's; the sizes are equal."""
+    mu_sums = list(accumulate(mu)) + [sum(mu)] * len(alpha)
+    return all(a <= m for a, m in zip(accumulate(alpha), mu_sums))
+
+
+def test_gale_ryser_empties_both_sides_on_every_order_pair():
+    """If mu does not dominate sorted(nu - lam), no order pair has a picture
+    or a filtered tableau.
+
+    Pictures: two cells x above y in one column of mu are componentwise
+    comparable, so an admissible domain order lists x first and forward
+    standardness lists x's image first.  Were both images in one row, the
+    admissible codomain order would put x's image to the right of y's, and
+    inverse standardness would list y before x.  So each column of mu
+    meets mu'_j distinct rows of nu / lam, and the incidence of columns and
+    rows is a 0-1 matrix with column sums mu' and row sums nu - lam; by
+    Gale-Ryser one exists only when mu'' = mu dominates sorted(nu - lam).
+    Tableaux: a filtered tableau lands on nu, so its content is nu - lam,
+    and a semistandard tableau of shape mu with that content exists only
+    under the same dominance (the Kostka number is then positive).
+    """
+    pairs = 0
+    for inst in iter_instances(7):
+        content = sorted((p - inst.lam.part(i) for i, p in enumerate(inst.nu, start=1)),
+                         reverse=True)
+        if dominates(inst.mu.parts, content):
+            continue
+        codomains = enumerate_admissible_orders(inst.skew_shape.cells())
+        for domain in enumerate_admissible_orders(cells(inst.mu)):
+            assert lr_filter(inst, domain) == ()
+            for codomain in codomains:
+                assert enumerate_pictures(inst.mu, inst.skew_shape, domain, codomain) == ()
+                pairs += 1
+    assert pairs == 1344

@@ -178,3 +178,14 @@ def test_add_sequence_matches_repeated_add_box(shape, letters):
     if result.ok:
         assert len(result.steps) == len(letters)
         assert result.final == current
+
+
+def test_skew_cells_are_cached_per_pair_of_part_tuples():
+    for outer in (p for total in range(8) for p in partitions_of(total)):
+        for inner in subpartitions(outer):
+            shape = skew(Partition(outer.parts), Partition(inner.parts))
+            assert shape.cells() == tuple(
+                (i, j) for i, p in enumerate(outer.parts, start=1)
+                for j in range(inner.part(i) + 1, p + 1))
+            # an equal skew shape built from new partitions gets the same tuple
+            assert skew(Partition(outer.parts), Partition(inner.parts)).cells() is shape.cells()
