@@ -5,11 +5,13 @@ plus an entry bound for tableaux.  The filtered crystal consists of the
 tableaux over mu whose reading word, added to lam one box at a time,
 stays a partition throughout and lands exactly on nu.  That is a prefix
 property, so the filter runs the filling search of the tableaux module
-with nu as the cap, and never builds a tableau that fails it.  phi turns a
-picture into such a tableau by recording the row coordinate of each
-image cell; psi inverts it by sending each cell to the row named by its
-entry, at the column just past lam plus the entry's position from the
-right among equal entries.
+with nu as the cap, and never builds a tableau that fails it.  _landings
+walks the same addition on row lengths for one word and names the cell
+each box lands in; psi's membership test and both lemma checks use it.
+phi turns a picture into such a tableau by recording the row coordinate
+of each image cell; psi inverts it by sending each cell to the row named
+by its entry, at the column just past lam plus the entry's position from
+the right among equal entries.
 
 phi is the map under verification, so it checks that its input is a
 picture and builds its tableau through the validating Tableau(...); a
@@ -37,14 +39,15 @@ import time
 from collections import Counter
 from functools import cached_property, lru_cache
 from operator import index
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .pictures import (Picture, SizeMismatch, TotalOrder, _row_reading,
                        enumerate_admissible_orders, enumerate_pictures, is_picture)
-from .shapes import (AdditionResult, Cell, NotContained, Partition, SkewShape, Value,
-                     add_sequence, cells, partitions_of, subpartitions)
-from .tableaux import Tableau, Word, _pruned_fillings, _tableaux_of, reading_by_order
-# not used here; kept as lr.enumerate_ssyt, a name the perfbench tracer test patches
+from .shapes import (Cell, NotContained, Partition, SkewShape, Value, cells, partitions_of,
+                     subpartitions)
+from .tableaux import Tableau, _pruned_fillings, _row_lengths, _tableaux_of
+# not used here; kept as names in lr that the perfbench tracer test patches
+from .shapes import add_sequence  # noqa: F401
 from .tableaux import enumerate_ssyt  # noqa: F401
 
 
@@ -105,15 +108,6 @@ class LRInstance(Value):
                 "nu": self.nu.to_json(), "rank_bound": self.rank_bound}
 
 
-def _read_and_add(tab: Tableau, lam: Partition,
-                  order: TotalOrder | None = None) -> tuple[Word, AdditionResult]:
-    """Read tab along the order (the row reading by default) and add the word to lam."""
-    if order is None:
-        order = _row_reading(tab.shape)
-    word = reading_by_order(tab, order)
-    return word, add_sequence(lam, word.letters)
-
-
 def lr_filter(inst: LRInstance, order: TotalOrder | None = None) -> tuple[Tableau, ...]:
     """Tableaux over mu whose reading adds onto lam box by box, ending at nu.
 
@@ -123,24 +117,31 @@ def lr_filter(inst: LRInstance, order: TotalOrder | None = None) -> tuple[Tablea
     partitions or outgrows nu at its first bad box.  Output is in
     lexicographic row-major order, whatever the reading.
     """
+    # an entry past the rows of nu never lands on nu, so the rows of nu bound the search
     return _tableaux_of(inst.mu, _pruned_fillings(inst.mu, inst.lam, order,
-                                                  inst.rank_bound, inst.nu))
+                                                  len(inst.nu), inst.nu))
+
+
+def _landings(letters: Iterable[int], inst: LRInstance) -> list[Cell] | None:
+    """Add the letters to lam one box at a time, letter v onto row v, and
+    return the cell each box lands in; None if a row would overtake the row
+    above it or the shape reached is not nu."""
+    nu = inst.nu.parts
+    # rows[v] is the current length of row v; rows[0] never binds
+    rows = _row_lengths(inst.nu.size + 1, inst.lam, len(nu))
+    landed = []
+    for v in letters:
+        if v > len(nu) or rows[v] >= rows[v - 1]:
+            return None
+        rows[v] += 1
+        landed.append((v, rows[v]))
+    return landed if rows[1:] == [*nu] else None
 
 
 def _in_lr_crystal(tab: Tableau, inst: LRInstance) -> bool:
-    """The row reading of tab adds onto lam box by box, on row lengths as in
-    the filter's search, and lands on nu."""
-    if tab.shape != inst.mu:
-        return False
-    rank, lam, nu = inst.rank_bound, inst.lam.parts, inst.nu.parts
-    # rows[v] is the current length of row v; rows[0] never binds
-    rows = [inst.nu.size + 1, *lam] + [0] * (rank - len(lam))
-    for row in tab.rows:
-        for v in reversed(row):
-            if v > rank or rows[v] >= rows[v - 1]:
-                return False
-            rows[v] += 1
-    return rows[1:] == [*nu] + [0] * (rank - len(nu))
+    """tab is over mu and its row reading adds onto lam, landing on nu."""
+    return tab.shape == inst.mu and _landings(
+        [v for row in tab.rows for v in reversed(row)], inst) is not None
 
 
 def phi(pic: Picture, inst: LRInstance) -> Tableau:
@@ -241,15 +242,6 @@ def verify_bijection(inst: LRInstance) -> BijectionReport:
     return BijectionReport(inst, len(pics), len(tabs), lattice, status, counterexample)
 
 
-def _sends_reading_to_destinations(pic: Picture, tab: Tableau, inst: LRInstance) -> bool:
-    """Reading tab row by row lands on nu, and pic sends each letter's source
-    cell to the cell that letter's box landed in."""
-    word, result = _read_and_add(tab, inst.lam, inst._row_readings[0])
-    mapping = pic.mapping
-    return result.final == inst.nu and all(
-        mapping[source] == step.cell for source, step in zip(word.source_cells, result.steps))
-
-
 def lemma_add_check(pic: Picture, inst: LRInstance) -> bool:
     """Source cells of the reading map to the matching addition destinations.
 
@@ -257,12 +249,14 @@ def lemma_add_check(pic: Picture, inst: LRInstance) -> bool:
     that the picture sends each letter's source cell to the cell that
     letter's box landed in.
     """
-    return _sends_reading_to_destinations(pic, phi(pic, inst), inst)
+    tab, sources = phi(pic, inst), inst._row_readings[0].cells
+    return [pic.mapping[c] for c in sources] == _landings(map(tab.entry, sources), inst)
 
 
 def lemma_destination_check(tab: Tableau, inst: LRInstance) -> bool:
     """psi sends each cell to the addition destination of the letter read there."""
-    return _sends_reading_to_destinations(psi(tab, inst), tab, inst)
+    mapping, sources = psi(tab, inst).mapping, inst._row_readings[0].cells
+    return [mapping[c] for c in sources] == _landings(map(tab.entry, sources), inst)
 
 
 def decompose_tensor(lam: Partition, mu: Partition, rank_bound: int,

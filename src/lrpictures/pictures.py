@@ -399,18 +399,18 @@ def is_picture(pairing, domain_order: TotalOrder, codomain_order: TotalOrder) ->
     Accepts a Picture, a mapping, or an iterable of (source, target)
     pairs.  Returns False rather than raising on any structural defect.
     """
-    if isinstance(pairing, Picture):
-        items = pairing.pairs
-    elif isinstance(pairing, Mapping):
-        items = tuple(pairing.items())
-    else:
-        items = tuple(pairing)
-    forward = dict(items)
+    try:
+        items = (pairing.pairs if isinstance(pairing, Picture)
+                 else tuple(pairing.items()) if isinstance(pairing, Mapping)
+                 else tuple(pairing))
+        forward = dict(items)
+        images = set(forward.values())
+    except (TypeError, ValueError):  # no iterable of pairs, or an unhashable cell
+        return False
     if len(forward) != len(items):
         return False
     if forward.keys() != domain_order.positions.keys():
         return False
-    images = set(forward.values())
     if len(images) != len(forward) or images != codomain_order.positions.keys():
         return False
     inverse = {image: source for source, image in forward.items()}

@@ -3,9 +3,10 @@
 Cells are 1-based (row, col) pairs.  A partition is a weakly decreasing
 tuple of nonnegative parts with trailing zeros stripped.  Adding a letter
 i to a shape appends one box to row i; a sequence of additions is valid
-only when every intermediate shape is again a partition, and the filters
-built on top of this module count the invalid sequences rather than
-rejecting them.
+only when every intermediate shape is again a partition.  add_box and
+add_sequence report an invalid step rather than raise it; they are the
+public form of that addition, and the library itself runs it on row
+lengths in lr._landings.
 
 Partition, SkewShape and the other validated types (Tableau, Word,
 TotalOrder, Picture, LRInstance) derive from Value: immutable, checked in
@@ -198,8 +199,8 @@ def add_box(shape: Partition, i: int) -> BoxAddition:
     """Append one box to row i, reporting whether the result is a partition.
 
     Rows past the last part count as empty, so any positive row index is
-    allowed.  Invalid results are reported rather than raised because the
-    crystal filters must count them.
+    allowed.  Invalid results are reported rather than raised, so a caller
+    can see where a sequence of additions breaks.
     """
     if i < 1:
         raise ValueError(f"row index must be positive, got {i}")

@@ -205,6 +205,7 @@ def _pruned_fillings(mu: Partition, lam: Partition, order: TotalOrder | None,
         if right >= 0 and entries[right] < high:
             high = entries[right]
         v += 1
+        # lr._landings' row test, undone here on backtrack
         while v <= high and (rows[v] >= rows[v - 1] or rows[v] >= limit[v]):
             v += 1
         if v > high:

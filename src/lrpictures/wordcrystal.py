@@ -17,9 +17,10 @@ in tableau order: one signature scan per word gives every index's
 operators, and a second loop over the same letters tests each result by
 one code lookup and resets only the state that letter wrote, so a word
 costs its length, not the letter bound, and builds no set, list or sort.
-Only when a result falls outside the image does an exact scan run, over
-the words in sorted order, to name the same first counterexample a
-per-index check would.
+Only when a result falls outside the image does an exact scan run: it
+takes the words in sorted order and applies the operators' own signature
+scan at each index the word touches, so it names the same first
+counterexample a per-index check with the public operators would.
 """
 
 from __future__ import annotations
@@ -69,35 +70,6 @@ def _survivors(letters: tuple[int, ...], i: int) -> tuple[list[int], list[int]]:
             else:
                 minus.append(k)
     return plus, minus
-
-
-def _signature_ends(letters: tuple[int, ...], unmatched: list[int],
-                    plus: list[int], minus: list[int]) -> list[int]:
-    """Every index's leftmost uncancelled plus and rightmost uncancelled minus,
-    from one pass over letters in 1..max_letter, written into plus and minus.
-
-    Letter a is a plus of index a and a minus of index a - 1.  Per index, a
-    count of unmatched pluses and the position of the lowest of them stand
-    for the stack of _survivors.  The three arrays run over indices
-    0..max_letter and must read 0, -1 and -1 on entry.  The indices the
-    letters touch come back in increasing order: plus and minus hold their
-    ends, -1 where none survives, and they are the only entries written, so
-    resetting them there restores the arrays.  Every other index has no sign.
-    """
-    for k, a in enumerate(letters):
-        if unmatched[a - 1]:
-            unmatched[a - 1] -= 1
-        else:
-            minus[a - 1] = k
-        if not unmatched[a]:
-            plus[a] = k
-        unmatched[a] += 1
-    present = set(letters)
-    touched = sorted(present.union([a - 1 for a in present]))
-    for i in touched:
-        if not unmatched[i]:
-            plus[i] = -1
-    return touched
 
 
 def _replaced(letters: tuple[int, ...], k: int, letter: int) -> tuple[int, ...] | None:
@@ -161,8 +133,10 @@ def verify_embedding(shape: Partition, max_entry: int,
             _check_letters(word, max_entry)
         codes[int.from_bytes(encode(word), "big")] = word
     place = [1 << (n - 1 - k) * 8 * width for k in range(n)]
-    # the fast pass: the words in tableau order, each with _signature_ends'
-    # scan inline and one check loop over its letters.  Only letter i raises
+    # the fast pass: the words in tableau order, each with one signature scan
+    # (letter a is a plus of index a and a minus of index a - 1; a count of
+    # unmatched pluses and the position of the lowest stand for the stack of
+    # _survivors) and one check loop over its letters.  Only letter i raises
     # unmatched[i], and plus[i] is read only while unmatched[i] is set, so
     # resetting unmatched[a] and minus[a - 1] for each letter a restores the
     # arrays; minus[0] belongs to no operator and is never read
@@ -181,45 +155,28 @@ def verify_embedding(shape: Partition, max_entry: int,
         for a in word:
             if unmatched[a]:
                 if a < max_entry and code + place[plus[a]] not in codes:
-                    return _first_counterexample(codes, place, max_entry)
+                    return _first_counterexample(codes, max_entry)
                 unmatched[a] = 0
             k = minus[a - 1]
             if k >= 0 and a > 1:
                 if code - place[k] not in codes:
-                    return _first_counterexample(codes, place, max_entry)
+                    return _first_counterexample(codes, max_entry)
                 minus[a - 1] = -1
     return EmbeddingReport(True, None)
 
 
-def _first_counterexample(codes: dict[int, tuple[int, ...]], place: list[int],
-                          max_entry: int) -> EmbeddingReport:
+def _first_counterexample(codes: dict[int, tuple[int, ...]], max_entry: int) -> EmbeddingReport:
     """The first operator result outside the image, trying words in sorted
     order, then indices, then lowering before raising; ok if there is none.
 
-    codes maps each image word's code to the word, and place[k] is the code
-    of letter 1 at position k, so an operator's result is one addition.
+    codes maps each image word's code to the word.  An index no letter of
+    the word touches has no sign, so both operators give None there.
     """
-    unmatched = [0] * (max_entry + 1)
-    plus = [-1] * (max_entry + 1)
-    minus = [-1] * (max_entry + 1)
-    for code in sorted(codes):
-        word = codes[code]
-        # an index no letter touches has no sign, so both operators give None there
-        for i in _signature_ends(word, unmatched, plus, minus):
-            if 1 <= i < max_entry:
-                k = plus[i]
-                if k >= 0 and code + place[k] not in codes:
-                    return _counterexample(word, "lowering", i, k, i + 1)
-                k = minus[i]
-                if k >= 0 and code - place[k] not in codes:
-                    return _counterexample(word, "raising", i, k, i)
-            unmatched[i], plus[i], minus[i] = 0, -1, -1
+    image = set(codes.values())
+    for word in sorted(image):
+        for i in sorted({i for a in word for i in (a - 1, a) if 1 <= i < max_entry}):
+            for name, result in zip(("lowering", "raising"), _lower_and_raise(word, i)):
+                if result is not None and result not in image:
+                    return EmbeddingReport(False, {"word": list(word), "operator": name,
+                                                   "index": i, "result": list(result)})
     return EmbeddingReport(True, None)
-
-
-def _counterexample(word: tuple[int, ...], name: str, i: int, k: int,
-                    letter: int) -> EmbeddingReport:
-    """The report of operator name at index i sending word outside the image
-    by setting position k to letter."""
-    return EmbeddingReport(False, {"word": list(word), "operator": name, "index": i,
-                                   "result": list(_replaced(word, k, letter))})

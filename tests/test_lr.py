@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from lrpictures import lr
 from lrpictures.lr import (BijectionReport, ConjectureReport, LRInstance, NotAPicture,
-                           NotLRCrystal, RankTooSmall, _in_lr_crystal, _psi_pairs,
-                           _read_and_add, conjecture_experiment, conjecture_sweep,
+                           NotLRCrystal, RankTooSmall, _in_lr_crystal, _landings,
+                           _psi_pairs, conjecture_experiment, conjecture_sweep,
                            decompose_tensor, instances_of_size, iter_instances,
                            lemma_add_check, lemma_destination_check,
                            lr_coefficient_all_methods, lr_coefficient_lattice,
@@ -16,9 +16,10 @@ from lrpictures.lr import (BijectionReport, ConjectureReport, LRInstance, NotAPi
 from lrpictures.pictures import (OrderCellMismatch, OrderNotAdmissible, Picture,
                                  SizeMismatch, TotalOrder, enumerate_admissible_orders,
                                  enumerate_pictures, is_picture)
-from lrpictures.shapes import NotContained, Partition, cells, partitions_of, subpartitions
+from lrpictures.shapes import (NotContained, Partition, add_sequence, cells, partitions_of,
+                               subpartitions)
 from lrpictures.tableaux import (ColumnNotStrictlyIncreasing, RowNotWeaklyIncreasing,
-                                 enumerate_ssyt, make_tableau, p_function)
+                                 enumerate_ssyt, make_tableau, p_function, reading_by_order)
 
 
 def ref_instance():
@@ -174,6 +175,51 @@ def test_lemma_checks_on_the_reference_instance():
     assert lemma_add_check(REF_PIC_FOR_T2, inst)
     assert lemma_destination_check(REF_T, inst)
     assert lemma_destination_check(REF_T2, inst)
+
+
+def test_lemma_add_check_fails_when_phi_leaves_the_crystal(monkeypatch):
+    stray = make_tableau(Partition((3, 2)), ((1, 1, 1), (2, 2)))
+    assert not _in_lr_crystal(stray, ref_instance())
+    monkeypatch.setattr(lr, "phi", lambda pic, inst: stray)
+    assert not lemma_add_check(REF_PIC_FOR_T, ref_instance())
+    assert not lemma_add_check(REF_PIC_FOR_T2, ref_instance())
+
+
+def test_lemma_destination_check_fails_when_psi_swaps_two_targets(monkeypatch):
+    real_psi = lr.psi
+
+    def swapped(tab, inst):
+        (a, x), (b, y), *rest = real_psi(tab, inst).pairs
+        return Picture(((a, y), (b, x), *rest))
+    monkeypatch.setattr(lr, "psi", swapped)
+    assert not lemma_destination_check(REF_T, ref_instance())
+    assert not lemma_destination_check(REF_T2, ref_instance())
+
+
+small_targets = [nu for size in range(8) for nu in partitions_of(size)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_landings_match_adding_in_full(data):
+    """_landings gives add_sequence's destinations when every addition is a
+    partition and the last is nu, and None otherwise, letters past the rows
+    of nu included."""
+    nu = data.draw(st.sampled_from(small_targets))
+    lam = data.draw(st.sampled_from(subpartitions(nu)))
+    inst = LRInstance(lam, Partition((nu.size - lam.size,)), nu)
+    rows = [i for i, _ in inst.skew_shape.cells()]
+    letters = data.draw(st.permutations(rows) | st.lists(
+        st.integers(1, len(nu) + 2), max_size=len(rows) + 1))
+    result = add_sequence(lam, letters)
+    landed = list(result.destinations()) if result.final == nu else None
+    assert _landings(letters, inst) == landed
+
+
+def test_verify_bijection_at_a_rank_bound_of_10_to_the_8():
+    report = verify_bijection(LRInstance(Partition((1,)), Partition((1,)),
+                                         Partition((2,)), 10 ** 8))
+    assert report.ok and (report.pictures, report.crystals, report.lattice) == (1, 1, 1)
 
 
 def test_decompose_two_boxes():
@@ -365,6 +411,14 @@ def test_one_round_trip_per_picture(monkeypatch):
     report = verify_bijection(LRInstance(stair, stair, Partition((8, 6, 5, 4, 3, 2, 1, 1))))
     assert report.ok and report.lattice == 176
     assert calls == {"phi": 176, "psi": 176}
+
+
+def _read_and_add(tab, lam, order=None):
+    """Read tab along the order (the row reading by default) and add the word to lam."""
+    if order is None:
+        order = TotalOrder.jay(cells(tab.shape))
+    word = reading_by_order(tab, order)
+    return word, add_sequence(lam, word.letters)
 
 
 def reference_filter(inst, order=None):

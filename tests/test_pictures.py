@@ -335,6 +335,17 @@ def test_is_picture_returns_false_on_wrong_cells():
     assert not is_picture({}, domain, codomain)
 
 
+# items that are not (source, target) pairs of hashable cells; the last two
+# are not iterables of pairs at all
+@pytest.mark.parametrize("pairing", [
+    [((1, 1), (1, 1), (1, 1))], [((1, 1),)], [1], "ab", {(1, 1): [1, 1]},
+    [([1, 1], (1, 1))], 5, None])
+def test_is_picture_returns_false_on_items_that_are_not_pairs_of_cells(pairing):
+    one_cell = TotalOrder.jay(cells(Partition((1,))))
+    assert is_picture([((1, 1), (1, 1))], one_cell, one_cell)
+    assert is_picture(pairing, one_cell, one_cell) is False
+
+
 def test_enumerate_pictures_on_the_reference_instance():
     assert enumerate_pictures(REF_MU, REF_SKEW) == (REF_PIC_B, REF_PIC_A)
 

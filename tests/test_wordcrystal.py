@@ -79,21 +79,6 @@ def test_empty_word():
     assert raising_operator((), 2, 3) is None
 
 
-@given(words)
-def test_one_scan_ends_match_repeated_cancellation(word):
-    unmatched, plus, minus = [0] * 5, [-1] * 5, [-1] * 5
-    touched = wordcrystal._signature_ends(word, unmatched, plus, minus)
-    assert touched == sorted({*word, *[a - 1 for a in word]})
-    for i in range(1, 4):
-        survivors_plus, survivors_minus = _oracle_survivors(word, i)
-        assert plus[i] == (survivors_plus[0] if survivors_plus else -1)
-        assert minus[i] == (survivors_minus[-1] if survivors_minus else -1)
-    # the touched indices are the only entries written
-    for i in touched:
-        unmatched[i], plus[i], minus[i] = 0, -1, -1
-    assert (unmatched, plus, minus) == ([0] * 5, [-1] * 5, [-1] * 5)
-
-
 def test_index_bounds():
     with pytest.raises(IndexOutOfRange):
         lowering_operator((1,), 0, 3)
