@@ -16,9 +16,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from typing import Callable, Sequence
 
-from .lr import (LRInstance, conjecture_rows, conjecture_sweep, decompose_tensor,
+from .lr import (LRInstance, conjecture_rows, decompose_tensor, iter_instances,
                  lr_coefficient_all_methods, lr_filter, phi, psi, sweep, verify_bijection)
 from .pictures import Picture, TotalOrder, enumerate_admissible_orders, enumerate_pictures
 from .shapes import Partition, cells
@@ -78,15 +79,22 @@ def _yn(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
+@lru_cache(maxsize=None)
+def _order_refs(cell_set: tuple) -> tuple[TotalOrder, TotalOrder, dict[TotalOrder, int]]:
+    """The jay and eff orders on the cells, and each admissible order's listing index."""
+    return (TotalOrder.jay(cell_set), TotalOrder.eff(cell_set),
+            {order: k for k, order in enumerate(enumerate_admissible_orders(cell_set))})
+
+
 def _order_tags(order: TotalOrder, cell_set: tuple) -> list[str]:
     """Which of the two reading orders, jay and eff, the order equals."""
-    return [tag for tag, ref in (("jay", TotalOrder.jay(cell_set)),
-                                 ("eff", TotalOrder.eff(cell_set)))
-            if order == ref]
+    jay, eff, _ = _order_refs(cell_set)
+    return [tag for tag, ref in (("jay", jay), ("eff", eff)) if order == ref]
 
 
+@lru_cache(maxsize=None)
 def _order_label(order: TotalOrder, cell_set: tuple) -> str:
-    index = enumerate_admissible_orders(cell_set).index(order)
+    index = _order_refs(cell_set)[2][order]
     tags = _order_tags(order, cell_set)
     return f"{index}:{'+'.join(tags)}" if tags else str(index)
 
@@ -229,10 +237,11 @@ def _cmd_orders(args: argparse.Namespace) -> int:
         _emit_json({"mu": mu.to_json(), "total": len(everything),
                     "orders": [order.to_json() for order in listed]})
     else:
+        names = {cell: _fmt_cell(cell) for cell in cell_set}
         for index, order in enumerate(listed):
             tags = _order_tags(order, cell_set)
             suffix = f" [{','.join(tags)}]" if tags else ""
-            print(f"{index}: " + " ".join(_fmt_cell(c) for c in order.cells) + suffix)
+            print(f"{index}: " + " ".join(map(names.get, order.cells)) + suffix)
         print(f"total={len(everything)}")
     return 0
 
@@ -244,7 +253,8 @@ def _conjecture_rows(args: argparse.Namespace):
                   if value is not None]
         if unused:
             raise ValueError(f"{', '.join(unused)} not used: --max-size sweeps every instance")
-        return conjecture_sweep(_nonnegative("--max-size", args.max_size))
+        return (row for inst in iter_instances(_nonnegative("--max-size", args.max_size))
+                for row in conjecture_rows(inst))
     if args.lam is None or args.mu is None or args.nu is None:
         raise ValueError("conjecture needs --lambda, --mu, and --nu, or --max-size")
     return conjecture_rows(_instance(args))
@@ -252,12 +262,15 @@ def _conjecture_rows(args: argparse.Namespace):
 
 def _cmd_conjecture(args: argparse.Namespace) -> int:
     rows = _conjecture_rows(args)
-    holds = sum(1 for row in rows if row.holds)
     if args.format == "json":
+        rows = list(rows)
+        holds = sum(1 for row in rows if row.holds)
         _emit_json({"rows": [row.to_json() for row in rows],
                     "holds": holds, "fails": len(rows) - holds})
         return 0
-    for row in rows:
+    count = holds = 0
+    for count, row in enumerate(rows, 1):
+        holds += row.holds
         inst = row.instance
         codomain = _order_label(row.codomain_order, inst.skew_shape.cells())
         domain = _order_label(row.domain_order, cells(inst.mu))
@@ -267,7 +280,7 @@ def _cmd_conjecture(args: argparse.Namespace) -> int:
               f"well_defined={_yn(row.well_defined)} injective={_yn(row.injective)} "
               f"surjective={_yn(row.surjective)} "
               f"verdict={'holds' if row.holds else 'fails'}")
-    print(f"rows={len(rows)} holds={holds} fails={len(rows) - holds}")
+    print(f"rows={count} holds={holds} fails={count - holds}")
     return 0
 
 
@@ -284,90 +297,70 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-_HANDLERS: dict[str, Callable[[argparse.Namespace], int]] = {
-    "count": _cmd_count, "pictures": _cmd_pictures, "crystals": _cmd_crystals,
-    "phi": _cmd_phi, "psi": _cmd_psi, "verify": _cmd_verify,
-    "decompose": _cmd_decompose, "orders": _cmd_orders,
-    "conjecture": _cmd_conjecture, "sweep": _cmd_sweep,
+_PARTS = {"metavar": "PARTS",
+          "help": "comma-separated parts, e.g. 3,1,1; use - for the empty shape"}
+_OPTIONS: dict[str, dict] = {
+    "lambda": {**_PARTS, "dest": "lam"}, "mu": _PARTS, "nu": _PARTS,
+    "rank": {"type": int, "metavar": "N", "help": "entry bound for tableaux"},
+    "order": {"metavar": "ORDER",
+              "help": "jay, eff, or index:<k> into the admissible order listing"},
+    "limit": {"type": int, "metavar": "N", "help": "print at most N items"},
+    "max-size": {"type": int, "metavar": "N", "help": "largest target size to cover"},
+    "format": {"choices": ("text", "json"), "default": "text",
+               "help": "output encoding (default text)"},
 }
 
-_PARTITION_HELP = "comma-separated parts, e.g. 3,1,1; use - for the empty shape"
-_ORDER_HELP = "jay, eff, or index:<k> into the admissible order listing"
+# verb -> (handler, help, options in --help order; a trailing ! marks a required one)
+_VERBS: dict[str, tuple[Callable[[argparse.Namespace], int], str, str]] = {
+    "count": (_cmd_count, "picture, crystal, and lattice counts for one instance",
+              "lambda! mu! nu! rank format"),
+    "pictures": (_cmd_pictures, "list the pictures of one instance",
+                 "lambda! mu! nu! rank order limit format"),
+    "crystals": (_cmd_crystals, "list the filtered tableaux of one instance",
+                 "lambda! mu! nu! rank order limit format"),
+    "phi": (_cmd_phi, "table of pictures and their image tableaux",
+            "lambda! mu! nu! rank limit format"),
+    "psi": (_cmd_psi, "table of filtered tableaux and their image pictures",
+            "lambda! mu! nu! rank limit format"),
+    "verify": (_cmd_verify, "check the bijection on one instance, or with --mu and "
+                            "--rank alone check the reading embedding",
+               "lambda mu nu rank order format"),
+    "decompose": (_cmd_decompose, "tensor product decomposition table",
+                  "lambda! mu! order format rank!"),
+    "orders": (_cmd_orders, "list the admissible orders on the cells of a shape",
+               "mu! limit format"),
+    "conjecture": (_cmd_conjecture, "order-pair experiment on one instance or a sweep",
+                   "lambda mu nu rank max-size format"),
+    "sweep": (_cmd_sweep, "verify the bijection on every instance up to a size",
+              "format max-size!"),
+}
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The parser with the named verb's subparser alone, or with every verb's
+    when it names none; a subparser's help and errors do not depend on its siblings."""
     parser = argparse.ArgumentParser(
         prog="lrpictures",
         description="Pictures, Littlewood-Richardson crystals, and the bijection "
                     "between them.")
     sub = parser.add_subparsers(dest="verb", required=True, metavar="verb")
-
-    def verb(name: str, help_text: str, *, lam: str | None = None,
-             mu: str | None = None, nu: str | None = None, rank: bool = False,
-             order: bool = False, limit: bool = False,
-             max_size: bool = False) -> argparse.ArgumentParser:
+    for name in [verb] if verb in _VERBS else _VERBS:
+        _, help_text, options = _VERBS[name]
         p = sub.add_parser(name, help=help_text)
-        if lam is not None:
-            p.add_argument("--lambda", dest="lam", required=lam == "required",
-                           metavar="PARTS", help=_PARTITION_HELP)
-        if mu is not None:
-            p.add_argument("--mu", required=mu == "required",
-                           metavar="PARTS", help=_PARTITION_HELP)
-        if nu is not None:
-            p.add_argument("--nu", required=nu == "required",
-                           metavar="PARTS", help=_PARTITION_HELP)
-        if rank:
-            p.add_argument("--rank", type=int, metavar="N",
-                           help="entry bound for tableaux")
-        if order:
-            p.add_argument("--order", metavar="ORDER", help=_ORDER_HELP)
-        if limit:
-            p.add_argument("--limit", type=int, metavar="N",
-                           help="print at most N items")
-        if max_size:
-            p.add_argument("--max-size", dest="max_size", type=int, metavar="N",
-                           help="largest target size to cover")
-        p.add_argument("--format", choices=("text", "json"), default="text",
-                       help="output encoding (default text)")
-        return p
-
-    verb("count", "picture, crystal, and lattice counts for one instance",
-         lam="required", mu="required", nu="required", rank=True)
-    verb("pictures", "list the pictures of one instance",
-         lam="required", mu="required", nu="required", rank=True, order=True,
-         limit=True)
-    verb("crystals", "list the filtered tableaux of one instance",
-         lam="required", mu="required", nu="required", rank=True, order=True,
-         limit=True)
-    verb("phi", "table of pictures and their image tableaux",
-         lam="required", mu="required", nu="required", rank=True, limit=True)
-    verb("psi", "table of filtered tableaux and their image pictures",
-         lam="required", mu="required", nu="required", rank=True, limit=True)
-    verb("verify", "check the bijection on one instance, or with --mu and "
-                   "--rank alone check the reading embedding",
-         lam="optional", mu="optional", nu="optional", rank=True, order=True)
-    p = verb("decompose", "tensor product decomposition table",
-             lam="required", mu="required", order=True)
-    p.add_argument("--rank", type=int, required=True, metavar="N",
-                   help="entry bound for tableaux")
-    verb("orders", "list the admissible orders on the cells of a shape",
-         mu="required", limit=True)
-    verb("conjecture", "order-pair experiment on one instance or a sweep",
-         lam="optional", mu="optional", nu="optional", rank=True, max_size=True)
-    p = verb("sweep", "verify the bijection on every instance up to a size",
-             max_size=False)
-    p.add_argument("--max-size", dest="max_size", type=int, required=True,
-                   metavar="N", help="largest target size to cover")
+        for option in options.split():
+            flag = option.rstrip("!")
+            p.add_argument("--" + flag, required=flag != option, **_OPTIONS[flag])
     return parser
 
 
 def run(argv: Sequence[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv[0] if argv else None).parse_args(argv)
     except SystemExit as stop:
         return int(stop.code or 0)
     try:
-        return _HANDLERS[args.verb](args)
+        return _VERBS[args.verb][0](args)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

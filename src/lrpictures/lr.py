@@ -272,11 +272,14 @@ def decompose_tensor(lam: Partition, mu: Partition, rank_bound: int,
     if len(lam) > rank_bound - 1 or len(mu) > rank_bound - 1:
         raise RankTooSmall(
             f"input shapes must have fewer than {rank_bound} rows")
+    # an entry v past the rows of lam needs rows len(lam) + 1 .. v - 1 opened by
+    # earlier boxes, so no entry exceeds len(lam) + |mu|, whatever rank_bound is
+    bound = min(rank_bound, len(lam) + mu.size)
     contents = Counter(tuple(sorted(entries)) for entries in _pruned_fillings(
-        mu, lam, order, rank_bound, None))
+        mu, lam, order, bound, None))
     multiplicities: dict[tuple[int, ...], int] = {}
     for content, count in contents.items():
-        final = [*lam.parts] + [0] * (rank_bound - len(lam))
+        final = [*lam.parts] + [0] * (bound - len(lam))
         for v in content:
             final[v - 1] += 1
         multiplicities[tuple(final)] = count

@@ -1,3 +1,4 @@
+import time
 from collections import Counter, defaultdict
 from fractions import Fraction
 
@@ -258,6 +259,21 @@ def test_decompose_multiplicities_match_the_oracle():
     lam, mu = Partition((2, 1)), Partition((2, 1))
     for nu, mult in decompose_tensor(lam, mu, 5).items():
         assert mult == lr_coefficient_lattice(LRInstance(lam, mu, nu))
+
+
+def test_decompose_cost_does_not_grow_with_the_rank():
+    # no entry can exceed len(lam) + |mu|, so a huge rank bound adds no shape and no work
+    for lam in (p for size in range(4) for p in partitions_of(size)):
+        for mu in (p for size in range(4) for p in partitions_of(size)):
+            start = time.perf_counter()
+            table = decompose_tensor(lam, mu, 10 ** 7)
+            assert time.perf_counter() - start < 1.0
+            assert list(table.items()) == list(
+                decompose_tensor(lam, mu, len(lam) + mu.size + 1).items())
+            oracle = {nu: c for nu in partitions_of(lam.size + mu.size)
+                      if nu.contains(lam)
+                      and (c := lr_coefficient_lattice(LRInstance(lam, mu, nu)))}
+            assert table == oracle
 
 
 def test_dimension_identity_two_boxes():
