@@ -40,8 +40,10 @@ def parse_partition(text: str) -> Partition:
     return Partition(parts)
 
 
+@lru_cache(maxsize=None)
 def resolve_order(name: str, cell_set: tuple) -> TotalOrder:
-    """Turn an --order value into a total order on the given cells."""
+    """Turn an --order value into a total order on the given cells, once per
+    name and cell set."""
     if name == "jay":
         return TotalOrder.jay(cell_set)
     if name == "eff":
@@ -80,21 +82,19 @@ def _yn(flag: bool) -> str:
 
 
 @lru_cache(maxsize=None)
-def _order_refs(cell_set: tuple) -> tuple[TotalOrder, TotalOrder, dict[TotalOrder, int]]:
-    """The jay and eff orders on the cells, and each admissible order's listing index."""
-    return (TotalOrder.jay(cell_set), TotalOrder.eff(cell_set),
-            {order: k for k, order in enumerate(enumerate_admissible_orders(cell_set))})
+def _order_indices(cell_set: tuple) -> dict[TotalOrder, int]:
+    """Each admissible order on the cells, with its index in their listing."""
+    return {order: k for k, order in enumerate(enumerate_admissible_orders(cell_set))}
 
 
 def _order_tags(order: TotalOrder, cell_set: tuple) -> list[str]:
     """Which of the two reading orders, jay and eff, the order equals."""
-    jay, eff, _ = _order_refs(cell_set)
-    return [tag for tag, ref in (("jay", jay), ("eff", eff)) if order == ref]
+    return [tag for tag in ("jay", "eff") if order == resolve_order(tag, cell_set)]
 
 
 @lru_cache(maxsize=None)
 def _order_label(order: TotalOrder, cell_set: tuple) -> str:
-    index = _order_refs(cell_set)[2][order]
+    index = _order_indices(cell_set)[order]
     tags = _order_tags(order, cell_set)
     return f"{index}:{'+'.join(tags)}" if tags else str(index)
 
@@ -198,8 +198,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.rank < len(shape):
         raise ValueError(f"rank {args.rank} below the {len(shape)} rows of "
                          f"{_fmt_parts(shape)}: no tableau exists to check")
-    cell_set = cells(shape)
-    order = resolve_order(args.order, cell_set) if args.order else TotalOrder.jay(cell_set)
+    order = resolve_order(args.order or "jay", cells(shape))
     report = verify_embedding(shape, args.rank, order)
     if args.format == "json":
         _emit_json({"shape": shape.to_json(), "max_entry": args.rank,

@@ -3,34 +3,21 @@
 An instance fixes three shapes with lam inside nu and sizes adding up,
 plus an entry bound for tableaux.  The filtered crystal consists of the
 tableaux over mu whose reading word, added to lam one box at a time,
-stays a partition throughout and lands exactly on nu.  That is a prefix
-property, so the filter runs the filling search of the tableaux module
-with nu as the cap, and never builds a tableau that fails it.  _landings
-walks the same addition on row lengths for one word and names the cell
-each box lands in; psi's membership test and both lemma checks use it.
-phi turns a picture into such a tableau by recording the row coordinate
-of each image cell; psi inverts it by sending each cell to the row named
-by its entry, at the column just past lam plus the entry's position from
-the right among equal entries.
+stays a partition throughout and lands exactly on nu.  phi turns a
+picture into such a tableau by recording the row coordinate of each
+image cell; psi inverts it by sending each cell to the row named by its
+entry, at the column just past lam plus the entry's position from the
+right among equal entries.
 
 phi is the map under verification, so it checks that its input is a
-picture and builds its tableau through the validating Tableau(...); a
-broken phi shows up as an error rather than as a malformed tableau.  psi
-and conjecture_experiment build their pictures through
-Picture._unchecked: _psi_pairs lists the cells of mu in row-major order
-and gives each entry value's cells distinct columns, so its pairs are
-already sorted by source with no target repeated.  Whether such a
-pairing is a picture is decided where it is used, by membership in the
-enumerated pictures: verify_bijection's for the row readings,
-conjecture_experiment's for its order pair.
+picture and builds its tableau through the validating Tableau(...).  psi
+and conjecture_experiment build their pictures unchecked from _psi_pairs;
+whether such a pairing is a picture is decided by membership in the
+enumerated pictures.
 
-lr_coefficient_lattice is a deliberately separate oracle: it counts
-lattice-word fillings of the skew shape by a backtracking loop of its own
-over raw part tuples and never touches the tableau, crystal, or picture
-code paths, so agreement between all three counts is meaningful evidence.
-It keeps its own cache of per-shape steps, _lattice_steps, keyed on the raw
-part tuples of nu and lam, rather than sharing the row readings the other
-two paths cache; the count itself runs on every call.
+lr_coefficient_lattice is a deliberately separate oracle: it never
+touches the tableau, crystal, or picture code paths, so agreement between
+all three counts is meaningful evidence.
 """
 
 from __future__ import annotations
@@ -99,8 +86,7 @@ class LRInstance(Value):
 
     @cached_property
     def _row_readings(self) -> tuple[TotalOrder, TotalOrder]:
-        """The row readings of mu and of the skew shape: the shared order objects
-        that enumerate_pictures defaults to, so their tables are built once per shape."""
+        """The row readings of mu and of the skew shape, as _row_reading keeps them."""
         return _row_reading(self.mu), _row_reading(self.skew_shape)
 
     def to_json(self) -> dict:
@@ -141,7 +127,7 @@ def _landings(letters: Iterable[int], inst: LRInstance) -> list[Cell] | None:
 def _in_lr_crystal(tab: Tableau, inst: LRInstance) -> bool:
     """tab is over mu and its row reading adds onto lam, landing on nu."""
     return tab.shape == inst.mu and _landings(
-        [v for row in tab.rows for v in reversed(row)], inst) is not None
+        inst._row_readings[0]._gather(sum(tab.rows, ())), inst) is not None
 
 
 def phi(pic: Picture, inst: LRInstance) -> Tableau:
@@ -156,7 +142,8 @@ def phi(pic: Picture, inst: LRInstance) -> Tableau:
 
 def _psi_pairs(tab: Tableau, lam: Partition) -> tuple[tuple[Cell, Cell], ...]:
     """Each cell with its psi target.  Equal entries form a horizontal strip, so rows
-    top down, each right to left, meet each level set in p_function's order."""
+    top down, each right to left, meet each level set in p_function's order.  The
+    pairs come sorted by source with no target repeated, as Picture._unchecked needs."""
     seen: dict[int, int] = {}
     pairs = []
     for i, row in enumerate(tab.rows, start=1):
@@ -242,21 +229,22 @@ def verify_bijection(inst: LRInstance) -> BijectionReport:
     return BijectionReport(inst, len(pics), len(tabs), lattice, status, counterexample)
 
 
-def lemma_add_check(pic: Picture, inst: LRInstance) -> bool:
-    """Source cells of the reading map to the matching addition destinations.
+def _sends_reading_to_landings(tab: Tableau, mapping: dict, inst: LRInstance) -> bool:
+    """mapping sends each cell of mu's row reading to the cell where the box of
+    tab's letter there lands when the reading is added to lam."""
+    reading = inst._row_readings[0]
+    return ([mapping[c] for c in reading.cells]
+            == _landings(reading._gather(sum(tab.rows, ())), inst))
 
-    Reads phi of the picture row by row, adds the word to lam, and checks
-    that the picture sends each letter's source cell to the cell that
-    letter's box landed in.
-    """
-    tab, sources = phi(pic, inst), inst._row_readings[0].cells
-    return [pic.mapping[c] for c in sources] == _landings(map(tab.entry, sources), inst)
+
+def lemma_add_check(pic: Picture, inst: LRInstance) -> bool:
+    """The picture sends each cell to where the letter phi puts there lands."""
+    return _sends_reading_to_landings(phi(pic, inst), pic.mapping, inst)
 
 
 def lemma_destination_check(tab: Tableau, inst: LRInstance) -> bool:
-    """psi sends each cell to the addition destination of the letter read there."""
-    mapping, sources = psi(tab, inst).mapping, inst._row_readings[0].cells
-    return [mapping[c] for c in sources] == _landings(map(tab.entry, sources), inst)
+    """psi sends each cell to where the letter read there lands."""
+    return _sends_reading_to_landings(tab, psi(tab, inst).mapping, inst)
 
 
 def decompose_tensor(lam: Partition, mu: Partition, rank_bound: int,
@@ -279,10 +267,10 @@ def decompose_tensor(lam: Partition, mu: Partition, rank_bound: int,
         mu, lam, order, bound, None))
     multiplicities: dict[tuple[int, ...], int] = {}
     for content, count in contents.items():
-        final = [*lam.parts] + [0] * (bound - len(lam))
+        final = _row_lengths(0, lam, bound)
         for v in content:
-            final[v - 1] += 1
-        multiplicities[tuple(final)] = count
+            final[v] += 1
+        multiplicities[tuple(final[1:])] = count
     ordered = sorted(multiplicities.items(), reverse=True)
     return {Partition(final): count for final, count in ordered}
 
@@ -307,8 +295,7 @@ def lr_coefficient_lattice(inst: LRInstance) -> int:
     content mu, keeping rows weakly increasing, columns strictly
     increasing, and every prefix of the reading word lattice: at each
     point the letter k-1 must have appeared more often than k.  Works on
-    raw part tuples only; independence from the tableau, crystal, and
-    picture paths is the point of this oracle.
+    raw part tuples only.
     """
     mu = inst.mu.parts
     neighbours = _lattice_steps(inst.nu.parts, inst.lam.parts)

@@ -1,53 +1,33 @@
 """Cell orders, admissible total orders, standardness, and picture enumeration.
 
-Three orders drive everything here.  The componentwise partial order
-compares cells coordinate by coordinate.  The row-reading total order
-("jay") lists cells row by row, right to left within a row.  The
-column-reading total order ("eff") lists cells column by column from
-the rightmost column, top to bottom within a column.  An admissible
-order is any total order that puts a cell before every cell weakly
-below it and weakly to its left; the two reading orders are the
-standard examples.
-
-A picture is a bijection between two cell sets that is order-standard
-in both directions: componentwise-comparable cells must map to cells
-in the listing order, and the same must hold for the inverse map.
-is_standard and is_picture check it by prefix maxima.  enumerate_pictures uses
-two local rules, exact because partitions and skew shapes are convex:
-adjacent sources map in listing order, and the taken targets form a down-set.
-It keeps the free targets that keep the down-set (the frontier) as a bit
-mask, updated in constant time as a target is taken or freed, and cuts a
-candidate when too few free targets lie before or after it for the
-sources still to come that must map there.
+The componentwise partial order compares cells coordinate by coordinate.
+The row-reading total order ("jay") lists cells row by row, right to
+left within a row; the column-reading total order ("eff") lists them
+column by column from the rightmost, top to bottom within a column.  An
+admissible order puts each cell before every other cell weakly below and
+weakly to its left.  That precedence is generated by _direct_predecessors,
+which both is_admissible_order and the admissible-order listing read.  A
+picture is a bijection between two cell sets that is standard in both
+directions.
 
 TotalOrder(...) and Picture(...) canonicalise every coordinate with
 operator.index, so a non-integral one raises TypeError, and Picture
-sorts its pairs and rejects a repeated source or target.  The pictures
-enumerate_pictures returns are built through Picture._unchecked: their
-cells come from the two listings, which are canonical, each source and
-each target is used once, and the pairs are sorted before they are
-stored, so the check would only repeat what the search guarantees.
+sorts its pairs and rejects a repeated source or target.
 
-Each TotalOrder keeps the tables the searches derive from it (its sorted
-cells, enumerate_pictures' domain and codomain tables, and the filling
-steps of tableaux._pruned_fillings), built the first time a search uses
-the order and freed with it.  The order-pair experiments run a search for
-every pair of a few hundred orders, and the admissible-order listing and
-_row_reading hand back the same order objects each time, so each table
-is built once per order rather than once per call.  _row_reading keeps one
-order per partition and per skew shape for the life of the process, and
-enumerate_pictures defaults to it on both sides, so a sweep over many
-instances builds each shape's row reading and its tables once, however
-many instances share the shape.  Only per-shape orders are kept, never a
-search's result.
+A TotalOrder keeps what the searches derive from it (its sorted cells,
+the picture search's tables, the filling steps and the reading gather)
+until it is freed.  Two caches here live as long as the process:
+_row_reading holds one row reading per partition and per skew shape, and
+_admissible_orders holds the whole listing of every cell set it is asked
+about, a search's result: 24,024 orders for the cells of 4,4,4,4.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from functools import cached_property, lru_cache
-from operator import index
-from typing import Iterable, Mapping
+from operator import index, itemgetter
+from typing import Callable, Iterable, Mapping
 
 from .shapes import Cell, Partition, SkewShape, Value, cells
 
@@ -144,6 +124,13 @@ class TotalOrder(Value):
     def _filling_steps(self) -> tuple[tuple[int, int, int, int], ...]:
         return _build_filling_steps(self.cells, self._key)
 
+    @cached_property
+    def _gather(self) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+        """The entries along the listing, from the row-major entries of a
+        tableau whose shape has exactly the listed cells."""
+        # itemgetter returns a scalar for one index and needs at least one
+        return itemgetter(*[step[0] for step in self._filling_steps]) if len(self) > 1 else tuple
+
     def __len__(self) -> int:
         return len(self.cells)
 
@@ -230,19 +217,16 @@ def _build_filling_steps(listing: tuple[Cell, ...], key: tuple[Cell, ...]
 @lru_cache(maxsize=None)
 def _row_reading(shape: Partition | SkewShape) -> TotalOrder:
     """The row reading of a partition's or a skew shape's cells, one order
-    object per shape for the life of the process, so the searches build its
-    tables once per shape rather than once per call or per instance."""
+    object per shape, so the searches build its tables once per shape."""
     return TotalOrder.jay(shape.cells() if isinstance(shape, SkewShape) else cells(shape))
 
 
 def is_admissible_order(order: TotalOrder) -> bool:
-    """Check that every constrained cell pair respects the listing.
-
-    The constraint: a cell must come strictly before any distinct cell
-    that sits weakly below it and weakly to its left, which is
-    standardness of the identity map with each source (r, c) at (r, -c).
-    """
-    return is_standard({(r, -c): (r, c) for r, c in order.cells}, order)
+    """Whether each listed cell comes after its _direct_predecessors, and so
+    after every other cell weakly above and weakly right of it."""
+    position = order.positions
+    return all(position[a] < position[b]
+               for b, direct in _direct_predecessors(order._key).items() for a in direct)
 
 
 def enumerate_admissible_orders(cell_set: Iterable[Cell],
@@ -354,11 +338,9 @@ class Picture(Value):
 
     @classmethod
     def _unchecked(cls, pairs: tuple[tuple[Cell, Cell], ...]) -> Picture:
-        """A picture built without __init__'s checks.
-
-        The caller guarantees that pairs holds cells of two ints, sorted
-        by source, with no source and no target repeated.
-        """
+        """A picture built without __init__'s checks: the caller guarantees that
+        pairs holds cells of two ints, sorted by source, with no source and no
+        target repeated."""
         pic = object.__new__(cls)
         object.__setattr__(pic, "pairs", pairs)
         return pic

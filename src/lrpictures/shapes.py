@@ -3,15 +3,9 @@
 Cells are 1-based (row, col) pairs.  A partition is a weakly decreasing
 tuple of nonnegative parts with trailing zeros stripped.  Adding a letter
 i to a shape appends one box to row i; a sequence of additions is valid
-only when every intermediate shape is again a partition.  add_box and
-add_sequence report an invalid step rather than raise it; they are the
-public form of that addition, and the library itself runs it on row
-lengths in lr._landings.
-
-Partition, SkewShape and the other validated types (Tableau, Word,
-TotalOrder, Picture, LRInstance) derive from Value: immutable, checked in
-__init__, compared and hashed by their field values.  Unchecked records,
-like AdditionResult and the lr reports, are NamedTuples.
+only when every intermediate shape is again a partition.  _skew_cells
+keeps the cell tuple of every shape asked for as long as the process
+lives.
 """
 
 from __future__ import annotations
@@ -111,12 +105,9 @@ def make_partition(parts: Iterable[int]) -> Partition:
     return Partition(tuple(parts))
 
 
-@lru_cache(maxsize=None)
 def cells(shape: Partition) -> tuple[Cell, ...]:
     """All cells of the diagram, row-major."""
-    return tuple((i, j)
-                 for i, p in enumerate(shape.parts, start=1)
-                 for j in range(1, p + 1))
+    return _skew_cells(shape.parts, ())
 
 
 class SkewShape(Value):
@@ -151,7 +142,8 @@ class SkewShape(Value):
 
 @lru_cache(maxsize=None)
 def _skew_cells(outer: tuple[int, ...], inner: tuple[int, ...]) -> tuple[Cell, ...]:
-    """SkewShape.cells, kept per pair of part tuples as cells keeps each partition's."""
+    """The cells of outer minus inner, row-major, kept per pair of part tuples;
+    cells and SkewShape.cells both read them here."""
     inner += (0,) * (len(outer) - len(inner))
     return tuple((i, j) for i, (p, q) in enumerate(zip(outer, inner), start=1)
                  for j in range(q + 1, p + 1))

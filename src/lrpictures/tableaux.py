@@ -2,24 +2,16 @@
 
 Entries are positive integers, weakly increasing along rows and strictly
 increasing down columns.  The level set of a value k lists the cells
-holding k from the rightmost column leftward; since equal entries form a
-horizontal strip, rows weakly increase along that listing.  A reading
-lists all entries along a total order on the cells; the row reading and
-the column reading are the two built-in cases, and any admissible order
-gives a reading via reading_by_order.
+holding k from the rightmost column leftward.  A reading lists the
+entries along an admissible order on the cells (reading_by_order); the
+row and column readings are its two named cases.
 
-The package's one semistandard-filling search, _pruned_fillings, is here too.
-Tableau(...) and make_tableau validate every entry, row and column, and
-Word(...) canonicalises its letters and cells; a non-integral entry or
-coordinate raises TypeError.  The tableaux that enumerate_ssyt and lr_filter return
-are built by _tableaux_of through Tableau._unchecked, without that check:
-the search fills each cell with an int above the cell over it and at most
-the cell to its right, so every filling it returns is semistandard.  A
-tableau then costs one gather of its rows and two slot stores.  The
-search's steps along an order are kept on the TotalOrder, with the
-pictures tables, so a filter run along the same order again, as the
-order-pair experiment does, skips building them; the default order is the
-partition's shared row reading.
+Tableau(...), make_tableau and Word(...) check and canonicalise their
+input, so a non-integral entry or coordinate raises TypeError.  The
+tableaux built from the package's one filling search, _pruned_fillings,
+are semistandard by construction and skip that check.  enumerate_ssyt
+keeps every tableau of each (shape, bound) it is asked for as long as
+the process lives: 4000 of them after verify --mu 1 --rank 4000.
 """
 
 from __future__ import annotations
@@ -79,13 +71,10 @@ class Tableau(Value):
 
     @classmethod
     def _unchecked(cls, shape: Partition, rows: tuple[tuple[int, ...], ...]) -> Tableau:
-        """A tableau built without __init__'s checks.
-
-        The caller guarantees that rows is a tuple of tuples of ints, one
-        per part of the shape and as long as it, with positive entries
-        weakly increasing along rows and strictly increasing down columns.
-        The slots are set through their descriptors, past the frozen __setattr__.
-        """
+        """A tableau built without __init__'s checks: the caller guarantees that
+        rows is a tuple of tuples of ints, one per part of the shape and as long
+        as it, with positive entries weakly increasing along rows and strictly
+        increasing down columns.  The slots are set past the frozen __setattr__."""
         tab = object.__new__(cls)
         _set_shape(tab, shape)
         _set_rows(tab, rows)
@@ -173,9 +162,9 @@ def _pruned_fillings(mu: Partition, lam: Partition, order: TotalOrder | None,
     once, and the branch is cut when row v would outgrow row v - 1 or,
     given a cap, the cap's row v.  Each filling comes back, in depth-first
     order, as its entries alone, in row-major cell order; the row lengths
-    it adds up to are lam plus its content, so a filling costs its size,
-    not rank_bound.  An entry of 0 marks an unplaced cell, so the cursor k
-    steps back to a cell and resumes just past its entry.
+    it adds up to are lam plus its content.  An entry of 0 marks an
+    unplaced cell, so the cursor k steps back to a cell and resumes just
+    past its entry.
     """
     if order is None:
         order = _row_reading(mu)
@@ -242,8 +231,6 @@ def enumerate_ssyt(shape: Partition, max_entry: int) -> tuple[Tableau, ...]:
     downstream listings reproducible.  A bound below the number of rows
     leaves nothing to enumerate.  The filling search runs onto a lam whose
     rows lie |shape| + 1 boxes apart: no row can catch up, so nothing is cut.
-    The search returns each filling as its entries alone, never the max_entry
-    row lengths of that lam, so a tableau costs its size, not the bound.
     """
     if len(shape) > max_entry:
         return ()
@@ -288,7 +275,7 @@ def _check_reading_order(order: TotalOrder, shape: Partition) -> None:
 def reading_by_order(tab: Tableau, order: TotalOrder) -> Word:
     """Read entries along an admissible total order on the shape's cells."""
     _check_reading_order(order, tab.shape)
-    return Word(tuple(tab.rows[i - 1][j - 1] for i, j in order.cells), order.cells)
+    return Word(order._gather(sum(tab.rows, ())), order.cells)
 
 
 def weight(tab: Tableau, max_entry: int) -> tuple[int, ...]:

@@ -5,27 +5,13 @@ everything else transparent, then cancel adjacent "+-" pairs until none
 remain.  The lowering operator turns the leftmost surviving "+" into i+1;
 the raising operator turns the rightmost surviving "-" into i.  Either
 returns None when nothing survives, the word-level analogue of the
-operator killing the element.
-
-The only consumer in this package is verify_embedding, which checks that
-reading tableaux along an admissible order gives a set of words closed
-under both operators.  It checks the order once, gathers each word from
-the tableau's row-major entries at the flat indices of the order's
-filling steps, range-checks each word by its least and greatest letter,
-and holds the words as integer codes.  A fast pass then takes the words
-in tableau order: one signature scan per word gives every index's
-operators, and a second loop over the same letters tests each result by
-one code lookup and resets only the state that letter wrote, so a word
-costs its length, not the letter bound, and builds no set, list or sort.
-Only when a result falls outside the image does an exact scan run: it
-takes the words in sorted order and applies the operators' own signature
-scan at each index the word touches, so it names the same first
-counterexample a per-index check with the public operators would.
+operator killing the element.  verify_embedding checks that reading
+tableaux along an admissible order gives a set of words closed under
+both operators.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .pictures import TotalOrder
@@ -109,18 +95,12 @@ def verify_embedding(shape: Partition, max_entry: int,
     The image of the reading map must be closed under both operators:
     applying either to an image word yields None or another image word.
     The first violation is returned as the counterexample, trying words
-    in sorted order, then indices, then lowering before raising.  Each
-    word is one gather along the order's filling steps, and a word with a
-    letter outside 1..max_entry raises ValueError before any operator runs.
-    A fast pass tests every word's results in tableau order and returns ok
-    when all are in the image; at its first miss, _first_counterexample
-    runs the exact scan in the canonical order to pick the counterexample.
+    in sorted order, then indices, then lowering before raising.  A word
+    with a letter outside 1..max_entry raises ValueError before any
+    operator runs.
     """
     _check_reading_order(order, shape)
-    # with one cell or none the word is the entries themselves: itemgetter
-    # returns a scalar for one index and needs at least one
-    n = shape.size
-    gather = itemgetter(*[cell for cell, _, _, _ in order._filling_steps]) if n > 1 else tuple
+    gather = order._gather
     # each word as an integer, one big-endian digit of `width` bytes per letter:
     # the codes sort as the words do, and an operator's result is one addition
     width = (max_entry.bit_length() + 7) // 8
@@ -132,7 +112,7 @@ def verify_embedding(shape: Partition, max_entry: int,
         if word and (min(word) < 1 or max(word) > max_entry):
             _check_letters(word, max_entry)
         codes[int.from_bytes(encode(word), "big")] = word
-    place = [1 << (n - 1 - k) * 8 * width for k in range(n)]
+    place = [1 << k * 8 * width for k in reversed(range(shape.size))]
     # the fast pass: the words in tableau order, each with one signature scan
     # (letter a is a plus of index a and a minus of index a - 1; a count of
     # unmatched pluses and the position of the lowest stand for the stack of
@@ -166,12 +146,9 @@ def verify_embedding(shape: Partition, max_entry: int,
 
 
 def _first_counterexample(codes: dict[int, tuple[int, ...]], max_entry: int) -> EmbeddingReport:
-    """The first operator result outside the image, trying words in sorted
-    order, then indices, then lowering before raising; ok if there is none.
-
-    codes maps each image word's code to the word.  An index no letter of
-    the word touches has no sign, so both operators give None there.
-    """
+    """verify_embedding's report from the image, each word's code mapped to
+    the word.  An index no letter of a word touches has no sign, so both
+    operators give None there."""
     image = set(codes.values())
     for word in sorted(image):
         for i in sorted({i for a in word for i in (a - 1, a) if 1 <= i < max_entry}):

@@ -13,7 +13,7 @@ import pytest
 from lrpictures import cli
 from lrpictures.lr import conjecture_sweep, iter_instances
 from lrpictures.pictures import TotalOrder, enumerate_admissible_orders
-from lrpictures.shapes import cells
+from lrpictures.shapes import Partition, cells
 
 VERBS = ("count", "pictures", "crystals", "phi", "psi", "verify", "decompose",
          "orders", "conjecture", "sweep")
@@ -133,3 +133,21 @@ def test_conjecture_text_matches_rows_rendered_through_the_reference(capsys):
     lines.append("rows=1198 holds=1198 fails=0")
     assert _run(capsys, cli.run, ["conjecture", "--max-size", "6"]) == (
         0, "\n".join(lines) + "\n", "")
+
+
+def test_named_orders_are_resolved_once_per_name_and_cell_set():
+    cell_set = cells(Partition((3, 2)))
+    for name in ("jay", "eff", "index:1"):
+        assert cli.resolve_order(name, cell_set) is cli.resolve_order(name, cell_set)
+
+
+def test_orders_builds_no_index_map(capsys):
+    for cache in (cli._order_indices, cli._order_label, cli.resolve_order):
+        cache.cache_clear()
+    assert cli.run(["orders", "--mu", "3,3"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[0].endswith("[jay]") and out.endswith("total=5\n")
+    assert cli._order_indices.cache_info().currsize == 0
+    # the conjecture verb labels its orders by index, so it builds the map
+    assert cli.run(["conjecture", "--lambda", "-", "--mu", "3,3", "--nu", "3,3"]) == 0
+    assert cli._order_indices.cache_info().currsize == 1

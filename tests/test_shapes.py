@@ -189,3 +189,9 @@ def test_skew_cells_are_cached_per_pair_of_part_tuples():
                 for j in range(inner.part(i) + 1, p + 1))
             # an equal skew shape built from new partitions gets the same tuple
             assert skew(Partition(outer.parts), Partition(inner.parts)).cells() is shape.cells()
+
+
+def test_a_partitions_cells_are_its_skew_cells_over_the_empty_shape():
+    for shape in (p for total in range(8) for p in partitions_of(total)):
+        assert cells(shape) is skew(shape, Partition(())).cells()
+        assert cells(Partition(shape.parts)) is cells(shape)

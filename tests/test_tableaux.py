@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lrpictures.pictures import OrderCellMismatch, OrderNotAdmissible, TotalOrder
+from lrpictures.pictures import (OrderCellMismatch, OrderNotAdmissible, TotalOrder,
+                                 enumerate_admissible_orders)
 from lrpictures.shapes import Partition, cells, partitions_of
 from lrpictures.tableaux import (CellOutsideShape, ColumnNotStrictlyIncreasing,
                                  EntryExceedsBound, RowNotWeaklyIncreasing,
@@ -237,3 +238,17 @@ def test_a_column_of_60_cells():
     assert enumerate_ssyt(column, 60) == (Tableau(column, tuple((v,) for v in range(1, 61))),)
     skipped = [tab.rows for tab in enumerate_ssyt(column, 61)]
     assert skipped == [tuple((v,) for v in range(1, 62) if v != k) for k in range(61, 0, -1)]
+
+
+def test_reading_by_order_reads_each_listed_cell_down_to_the_empty_shape():
+    # the reading gathers row-major entries at flat indices; with one cell or
+    # none the gather is not an itemgetter, so both edges are in the sweep
+    shapes = [shape for size in range(7) for shape in partitions_of(size)]
+    assert shapes[:2] == [Partition(()), Partition((1,))]
+    for shape in shapes:
+        for order in enumerate_admissible_orders(cells(shape)):
+            for bound in (1, 2, 3):
+                for tab in enumerate_ssyt(shape, bound):
+                    word = reading_by_order(tab, order)
+                    assert word.letters == tuple(tab.entry(c) for c in order.cells)
+                    assert word.source_cells == order.cells

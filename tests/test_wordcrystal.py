@@ -288,3 +288,11 @@ def test_two_byte_letters_give_the_reference_counterexample(monkeypatch, entries
 def test_two_byte_letters_close_on_one_cell():
     cell = Partition((1,))
     assert verify_embedding(cell, 300, TotalOrder.jay(cells(cell))).ok
+
+
+@pytest.mark.parametrize("parts", [(), (1,)])
+@pytest.mark.parametrize("max_entry", [1, 2, 3])
+def test_embedding_holds_on_the_empty_shape_and_one_cell(parts, max_entry):
+    shape = Partition(parts)
+    (order,) = enumerate_admissible_orders(cells(shape))
+    assert verify_embedding(shape, max_entry, order) == (True, None)
