@@ -400,15 +400,15 @@ def is_picture(pairing, domain_order: TotalOrder, codomain_order: TotalOrder) ->
             and is_standard(inverse, domain_order))
 
 
-def enumerate_pictures(mu: Partition, skew_shape: SkewShape,
+def enumerate_pictures(mu: Partition | SkewShape, skew_shape: SkewShape,
                        domain_order: TotalOrder | None = None,
                        codomain_order: TotalOrder | None = None) -> tuple[Picture, ...]:
     """All pictures from the cells of mu onto the skew cells.
 
-    The orders default to the shared row readings of mu and of the skew
-    shape (_row_reading); any listing of the cells is accepted, and is
-    checked against the cells of that row reading.  Sources are placed in
-    domain-listing order; an image must follow the images of the placed
+    Either side may be a partition or a skew shape.  The orders default to
+    their shared row readings (_row_reading); any listing of a side's cells
+    is accepted, and is checked against that reading.  Sources are placed
+    in domain-listing order; an image must follow the images of the placed
     neighbours above and left, precede those below and right, and find the
     skew cells above and left of it taken.  Both shapes are convex, so
     these constant-time tests are exactly the two standardness conditions.
@@ -428,19 +428,17 @@ def enumerate_pictures(mu: Partition, skew_shape: SkewShape,
     few above, since that number only falls as q grows.  Output is sorted
     by pair list.
     """
-    sources_rowmajor = cells(mu)
-    reading = _row_reading(skew_shape)
-    targets = reading._key
-    if len(sources_rowmajor) != len(targets):
+    domain_reading, codomain_reading = _row_reading(mu), _row_reading(skew_shape)
+    if len(domain_reading) != len(codomain_reading):
         raise SizeMismatch(
-            f"{len(sources_rowmajor)} source cells vs {len(targets)} target cells")
+            f"{len(domain_reading)} source cells vs {len(codomain_reading)} target cells")
     if domain_order is None:
-        domain_order = _row_reading(mu)
+        domain_order = domain_reading
     if codomain_order is None:
-        codomain_order = reading
-    if domain_order._key != sources_rowmajor:
+        codomain_order = codomain_reading
+    if domain_order._key != domain_reading._key:
         raise OrderCellMismatch("domain order must list the cells of the source shape")
-    if codomain_order._key != targets:
+    if codomain_order._key != codomain_reading._key:
         raise OrderCellMismatch("codomain order must list the skew cells")
 
     sources = domain_order.cells

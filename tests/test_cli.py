@@ -6,6 +6,7 @@ from lrpictures import cli
 from lrpictures.lr import BijectionReport, LRInstance, SizeSummary, SweepReport
 from lrpictures.pictures import TotalOrder
 from lrpictures.shapes import Partition, cells
+from lrpictures.wordcrystal import EmbeddingReport
 
 REF = ["--lambda", "3,1,1", "--mu", "3,2", "--nu", "4,3,2,1"]
 
@@ -124,6 +125,20 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert code == 1
     assert "bijection=fail" in out
     assert "count_mismatch" in out
+
+
+def test_verify_embedding_failure_prints_the_counterexample(capsys, monkeypatch):
+    counterexample = {"word": [2, 1], "operator": "lowering", "index": 1, "result": [2, 2]}
+    monkeypatch.setattr(cli, "verify_embedding",
+                        lambda _shape, _rank, _order: EmbeddingReport(False, counterexample))
+    code, out, _ = run(capsys, "verify", "--mu", "2", "--rank", "2")
+    assert code == 1
+    assert out == f"embedding=fail\ncounterexample={json.dumps(counterexample)}\n"
+    code, out, _ = run(capsys, "verify", "--mu", "2", "--rank", "2", "--format", "json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["ok"] is False
+    assert payload["counterexample"] == counterexample
 
 
 def test_decompose_text(capsys):

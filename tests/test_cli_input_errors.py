@@ -28,6 +28,13 @@ def test_order_index_must_be_decimal(capsys):
     assert "bad order index" in err
 
 
+def test_verify_with_nu_alone_is_an_input_error(capsys):
+    code, out, err = run(capsys, "verify", "--nu", "2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: verify with --nu needs --lambda and --mu as well\n"
+
+
 @pytest.mark.parametrize("verb", ["sweep", "conjecture"])
 def test_a_negative_max_size_is_an_input_error(capsys, verb):
     code, out, err = run(capsys, verb, "--max-size", "-1")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lrpictures import lr
+from lrpictures import cli, lr
 from lrpictures.lr import (BijectionReport, ConjectureReport, LRInstance, NotAPicture,
                            NotLRCrystal, RankTooSmall, _in_lr_crystal, _landings,
                            _psi_pairs, conjecture_experiment, conjecture_sweep,
@@ -303,6 +303,25 @@ def test_sweep_small():
     payload = report.to_json()
     assert payload["ok"] is True
     assert "seconds" not in payload
+
+
+def test_a_failing_instance_is_counted_and_kept_by_the_sweep(monkeypatch, capsys):
+    target = LRInstance(Partition((1,)), Partition((1,)), Partition((1, 1)))
+    real = lr.verify_bijection
+
+    def failing_once(inst):
+        report = real(inst)
+        return report._replace(bijection="fail") if inst == target else report
+
+    monkeypatch.setattr(lr, "verify_bijection", failing_once)
+    report = sweep(3)
+    assert [s.mismatches for s in report.per_size] == [0, 0, 1, 0]
+    assert report.failures == (real(target)._replace(bijection="fail"),)
+    assert report.ok is False
+    assert report.to_json()["ok"] is False
+    # the command reports the failure through the same sweep
+    assert cli.run(["sweep", "--max-size", "3"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "instances=33 mismatches=1 status=fail"
 
 
 def test_conjecture_experiment_row_reading_case():

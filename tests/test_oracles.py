@@ -5,12 +5,15 @@ oracle's independence is checked too: its code loads nothing that the
 picture, tableau or shape modules define.
 
 References: Macdonald, Symmetric Functions and Hall Polynomials, I.5.16;
-Fulton, Young Tableaux, section 2.
+Fulton, Young Tableaux, section 2; Zelevinsky, A generalization of the
+Littlewood-Richardson rule and the Robinson-Schensted-Knuth
+correspondence, J. Algebra 69 (1981).
 """
 
 import builtins
 import dis
-from itertools import accumulate
+from functools import cache
+from itertools import accumulate, permutations
 from types import CodeType
 
 from hypothesis import assume, example, given, settings
@@ -18,8 +21,9 @@ from hypothesis import strategies as st
 
 from lrpictures import lr, pictures, shapes, tableaux
 from lrpictures.lr import LRInstance, iter_instances, lr_coefficient_lattice, lr_filter
-from lrpictures.pictures import enumerate_admissible_orders, enumerate_pictures
-from lrpictures.shapes import Partition, cells
+from lrpictures.pictures import (TotalOrder, enumerate_admissible_orders, enumerate_pictures,
+                                 is_picture)
+from lrpictures.shapes import Partition, SkewShape, cells, partitions_of, subpartitions
 
 
 def conjugate(shape):
@@ -104,6 +108,41 @@ def test_swap_and_conjugation_symmetries_up_to_size_eight():
             assert table.get((mu, lam, nu), 0) == c
             assert table[conjugate(lam), conjugate(mu), conjugate(nu)] == c
     assert max(pictures.values()) == 2
+
+
+def test_pictures_between_skew_shapes_count_zelevinskys_identity():
+    """The pictures from lam / mu onto nu / kappa number
+    sum over tau of c(mu, tau; lam) * c(kappa, tau; nu), the scalar product
+    of the two skew Schur functions, for every pair of skew shapes with n
+    cells, n <= 4, each drawn from an outer shape of at most n + 3 cells.
+    Up to 3 cells the pictures are also every bijection that is_picture
+    accepts."""
+    @cache
+    def c(shape, tau):
+        return lr_coefficient_lattice(LRInstance(shape.inner, tau, shape.outer))
+
+    pairs = {}
+    for n in range(1, 5):
+        # one shape per (outer, inner) pair, though two pairs can list the same cells
+        family = [SkewShape(outer, inner) for size in range(n, n + 4)
+                  for outer in partitions_of(size) for inner in subpartitions(outer)
+                  if inner.size == size - n]
+        pairs[n] = len(family) ** 2
+        taus = partitions_of(n)
+        for a in family:
+            for b in family:
+                found = enumerate_pictures(a, b)
+                assert len(found) == sum(c(a, tau) * c(b, tau) for tau in taus), (a, b)
+                if n > 3:
+                    continue
+                domain, codomain = TotalOrder.jay(a.cells()), TotalOrder.jay(b.cells())
+                # sources row-major, as a picture's pairs are sorted
+                bijections = (tuple(zip(a.cells(), images)) for images in permutations(b.cells()))
+                accepted = {pairing for pairing in bijections
+                            if is_picture(pairing, domain, codomain)}
+                assert {picture.pairs for picture in found} == accepted, (a, b)
+    assert sum(pairs.values()) == 7210
+    assert sum(pairs[n] for n in (1, 2, 3)) == 2721
 
 
 def loaded_globals(code):

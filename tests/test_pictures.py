@@ -335,6 +335,14 @@ def test_is_picture_returns_false_on_wrong_cells():
     assert not is_picture({}, domain, codomain)
 
 
+def test_is_picture_returns_false_on_a_repeated_source():
+    row = TotalOrder.jay(cells(Partition((2,))))
+    assert is_picture((((1, 1), (1, 2)), ((1, 2), (1, 1))), row, row)
+    # the last pair overwrites the first, leaving a bijection in the mapping
+    repeated = (((1, 1), (1, 1)), ((1, 1), (1, 2)), ((1, 2), (1, 1)))
+    assert is_picture(repeated, row, row) is False
+
+
 # items that are not (source, target) pairs of hashable cells; the last two
 # are not iterables of pairs at all
 @pytest.mark.parametrize("pairing", [
