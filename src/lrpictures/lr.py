@@ -9,11 +9,10 @@ image cell; psi inverts it by sending each cell to the row named by its
 entry, at the column just past lam plus the entry's position from the
 right among equal entries.
 
-phi is the map under verification, so it checks that its input is a
-picture and builds its tableau through the validating Tableau(...).  psi
-and conjecture_experiment build their pictures unchecked from _psi_pairs;
-whether such a pairing is a picture is decided by membership in the
-enumerated pictures.
+The public phi checks that its input is a picture and validates its
+tableau.  verify_bijection's _phi builds its tableaux unchecked, and psi and
+conjecture_experiment their pictures from _psi_pairs; the enumerated crystal
+and pictures judge them by membership.
 
 lr_coefficient_lattice is a deliberately separate oracle: it never
 touches the tableau, crystal, or picture code paths, so agreement between
@@ -140,6 +139,12 @@ def phi(pic: Picture, inst: LRInstance) -> Tableau:
     return Tableau(inst.mu, rows)
 
 
+def _phi(pic: Picture, inst: LRInstance) -> Tableau:
+    """phi with no check.  Pairs sorted by source run row-major over mu, so their target
+    rows are its entries in row-major order; a non-picture may break semistandardness."""
+    return _tableaux_of(inst.mu, [tuple([target[0] for _, target in pic.pairs])])[0]
+
+
 def _psi_pairs(tab: Tableau, lam: Partition) -> tuple[tuple[Cell, Cell], ...]:
     """Each cell with its psi target.  Equal entries form a horizontal strip, so rows
     top down, each right to left, meet each level set in p_function's order.  The
@@ -198,6 +203,8 @@ def verify_bijection(inst: LRInstance) -> BijectionReport:
     suffices.  It shows phi injective into the crystal with psi undoing it,
     so each tableau phi reaches passes the reverse check, and psi sends any
     other one outside the pictures or to a picture that phi sends elsewhere.
+    phi runs as the unchecked _phi: an image off the crystal fails membership,
+    and psi(tab) == pic pins pic's sources to the cells of mu.
     """
     pics = enumerate_pictures(inst.mu, inst.skew_shape)
     tabs = lr_filter(inst)
@@ -206,7 +213,7 @@ def verify_bijection(inst: LRInstance) -> BijectionReport:
     matched: set[Tableau] = set()
     counterexample = None
     for pic in pics:
-        tab = phi(pic, inst)
+        tab = _phi(pic, inst)
         if tab not in crystal_set:
             counterexample = {"kind": "phi_image_outside_crystal",
                               "picture": pic.to_json()}

@@ -11,7 +11,8 @@ input, so a non-integral entry or coordinate raises TypeError.  The
 tableaux built from the package's one filling search, _pruned_fillings,
 are semistandard by construction and skip that check.  enumerate_ssyt
 keeps every tableau of each (shape, bound) it is asked for as long as
-the process lives: 4000 of them after verify --mu 1 --rank 4000.
+the process lives (4000 after verify --mu 1 --rank 4000), and
+_column_reading one column order per shape.
 """
 
 from __future__ import annotations
@@ -210,7 +211,8 @@ def _pruned_fillings(mu: Partition, lam: Partition, order: TotalOrder | None,
 def _tableaux_of(shape: Partition, fillings: list[tuple[int, ...]]) -> tuple[Tableau, ...]:
     """The tableaux of the shape's fillings, in lexicographic row-major order.
 
-    Each filling is semistandard by construction, so it is not checked again.
+    Fillings are not checked: the filling search's are semistandard by
+    construction, and lr._phi's are judged by membership in the crystal.
     One itemgetter of the row slices gathers a filling's rows; it returns
     a tuple only for two or more, so 0 or 1 rows take the entries whole.
     """
@@ -258,9 +260,15 @@ def middle_eastern_reading(tab: Tableau) -> Word:
     return reading_by_order(tab, _row_reading(tab.shape))
 
 
+@lru_cache(maxsize=None)
+def _column_reading(shape: Partition) -> TotalOrder:
+    """The column reading of a shape's cells, one order object per shape."""
+    return TotalOrder.eff(cells(shape))
+
+
 def far_eastern_reading(tab: Tableau) -> Word:
     """Read each column top to bottom, rightmost column first."""
-    return reading_by_order(tab, TotalOrder.eff(cells(tab.shape)))
+    return reading_by_order(tab, _column_reading(tab.shape))
 
 
 def _check_reading_order(order: TotalOrder, shape: Partition) -> None:

@@ -3,7 +3,8 @@
 Each test prints exactly one summary line (run with -s to see them) and
 then asserts the same condition, so a failing criterion is visible both
 ways.  The exhaustive size-8 verification is computed once and shared;
-the size-9 sweep runs on its own, beside it.
+the size-9 sweep runs on its own, beside it, and the size-12 sweep only
+with pytest -m slow.
 """
 
 import time
@@ -82,6 +83,14 @@ def test_criterion_11_sweep_through_size_9():
     report = lp.sweep(9)
     _report(11, "counts agree and maps invert each other through size 9",
             report.instances == 9381 and report.ok)
+
+
+@pytest.mark.slow
+def test_criterion_12_sweep_through_size_12():
+    report = lp.sweep(12)
+    _report(12, "counts agree and maps invert each other through size 12",
+            report.instances == 94030 and report.ok
+            and max(s.max_coefficient for s in report.per_size) == 4)
 
 
 def test_criterion_06_filter_ignores_the_reading_order():

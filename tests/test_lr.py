@@ -20,7 +20,8 @@ from lrpictures.pictures import (OrderCellMismatch, OrderNotAdmissible, Picture,
 from lrpictures.shapes import (NotContained, Partition, add_sequence, cells, partitions_of,
                                subpartitions)
 from lrpictures.tableaux import (ColumnNotStrictlyIncreasing, RowNotWeaklyIncreasing,
-                                 enumerate_ssyt, make_tableau, p_function, reading_by_order)
+                                 Tableau, enumerate_ssyt, make_tableau, p_function,
+                                 reading_by_order)
 
 
 def ref_instance():
@@ -422,6 +423,14 @@ def test_an_extra_tableau_sent_to_a_reached_picture(monkeypatch):
         "kind": "phi_psi_not_identity", "tableau": stray.to_json()}
 
 
+def test_a_non_semistandard_phi_image_is_judged_by_membership(monkeypatch):
+    # row 1 decreases, yet its row reading adds onto lam and lands on nu
+    unsorted = Tableau._unchecked(Partition((3, 2)), ((2, 2, 1), (4, 3)))
+    assert _in_lr_crystal(unsorted, ref_instance())
+    assert injected_report(monkeypatch, _phi=lambda pic, inst: unsorted) == {
+        "kind": "phi_image_outside_crystal", "picture": REF_PIC_FOR_T2.to_json()}
+
+
 def test_a_lattice_count_off_by_one(monkeypatch):
     real_lattice = lr.lr_coefficient_lattice
     assert injected_report(monkeypatch,
@@ -440,12 +449,13 @@ def test_one_round_trip_per_picture(monkeypatch):
             return original(*args)
         return call
 
-    monkeypatch.setattr(lr, "phi", counted("phi"))
-    monkeypatch.setattr(lr, "psi", counted("psi"))
+    for name in ("phi", "_phi", "psi"):
+        monkeypatch.setattr(lr, name, counted(name))
     stair = Partition((5, 4, 3, 2, 1))
     report = verify_bijection(LRInstance(stair, stair, Partition((8, 6, 5, 4, 3, 2, 1, 1))))
     assert report.ok and report.lattice == 176
-    assert calls == {"phi": 176, "psi": 176}
+    # the round trips run through the unchecked _phi, never the public phi
+    assert calls == {"_phi": 176, "psi": 176}
 
 
 def _read_and_add(tab, lam, order=None):

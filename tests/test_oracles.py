@@ -16,6 +16,7 @@ from functools import cache
 from itertools import accumulate, permutations
 from types import CodeType
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -143,6 +144,27 @@ def test_pictures_between_skew_shapes_count_zelevinskys_identity():
                 assert {picture.pairs for picture in found} == accepted, (a, b)
     assert sum(pairs.values()) == 7210
     assert sum(pairs[n] for n in (1, 2, 3)) == 2721
+
+
+@pytest.mark.slow
+def test_zelevinskys_identity_on_every_skew_pair_up_to_six_cells():
+    """The identity of the test above, counts only, on the skew pairs with n <= 6 cells."""
+    @cache
+    def c(shape, tau):
+        return lr_coefficient_lattice(LRInstance(shape.inner, tau, shape.outer))
+
+    pairs = 0
+    for n in range(1, 7):
+        family = [SkewShape(outer, inner) for size in range(n, n + 4)
+                  for outer in partitions_of(size) for inner in subpartitions(outer)
+                  if inner.size == size - n]
+        pairs += len(family) ** 2
+        taus = partitions_of(n)
+        for a in family:
+            for b in family:
+                found = enumerate_pictures(a, b)
+                assert len(found) == sum(c(a, tau) * c(b, tau) for tau in taus), (a, b)
+    assert pairs == 38526
 
 
 def loaded_globals(code):

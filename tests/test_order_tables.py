@@ -138,8 +138,12 @@ def test_a_sweep_builds_each_skew_shapes_tables_once(monkeypatch):
     for inst in instances:
         phi_codomains.clear()
         report = verify_bijection(inst)
-        assert report.ok and len(phi_codomains) == report.pictures
-        # phi checks against the order enumerate_pictures built its tables on
+        # verify_bijection judges phi's images by membership, with no is_picture
+        assert report.ok and phi_codomains == []
+        for pic in enumerate_pictures(inst.mu, inst.skew_shape):
+            lr.phi(pic, inst)
+        assert len(phi_codomains) == report.pictures
+        # the public phi checks against the order enumerate_pictures built its tables on
         codomain = inst._row_readings[1]
         assert codomain is reading(inst.skew_shape)
         assert "_codomain_tables" in vars(codomain)

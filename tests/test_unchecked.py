@@ -2,12 +2,13 @@
 checks, trusting that each value is valid by construction.  Rebuilding
 every such value through the validating constructor must give an equal
 value with an equal hash: a filling out of order, a picture whose pairs
-are not sorted by source, or a list where a tuple belongs fails here."""
+are not sorted by source, or a list where a tuple belongs fails here.
+verify_bijection's unchecked _phi must also give what the public phi gives."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrpictures.lr import LRInstance, iter_instances, lr_filter, psi
+from lrpictures.lr import LRInstance, _phi, iter_instances, lr_filter, phi, psi
 from lrpictures.pictures import (Picture, TotalOrder, enumerate_admissible_orders,
                                  enumerate_pictures)
 from lrpictures.shapes import cells, partitions_of, subpartitions
@@ -50,6 +51,15 @@ def test_pictures_under_the_row_readings_rebuild():
     for inst in iter_instances(7):
         for pic in enumerate_pictures(inst.mu, inst.skew_shape):
             assert_picture_rebuilds(pic)
+
+
+def test_unchecked_phi_images_equal_the_public_phis_and_rebuild():
+    for inst in iter_instances(7):
+        for pic in enumerate_pictures(inst.mu, inst.skew_shape):
+            tab = _phi(pic, inst)
+            assert_tableau_rebuilds(tab)
+            public = phi(pic, inst)
+            assert tab == public and hash(tab) == hash(public)
 
 
 def draw_instance(data, low, high):
