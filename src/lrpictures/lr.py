@@ -204,7 +204,8 @@ def verify_bijection(inst: LRInstance) -> BijectionReport:
     so each tableau phi reaches passes the reverse check, and psi sends any
     other one outside the pictures or to a picture that phi sends elsewhere.
     phi runs as the unchecked _phi: an image off the crystal fails membership,
-    and psi(tab) == pic pins pic's sources to the cells of mu.
+    and psi(tab) == pic pins pic's sources to the cells of mu.  No is_picture
+    runs here: the verdict trusts enumerate_pictures to return pictures.
     """
     pics = enumerate_pictures(inst.mu, inst.skew_shape)
     tabs = lr_filter(inst)

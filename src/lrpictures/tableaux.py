@@ -11,8 +11,7 @@ input, so a non-integral entry or coordinate raises TypeError.  The
 tableaux built from the package's one filling search, _pruned_fillings,
 are semistandard by construction and skip that check.  enumerate_ssyt
 keeps every tableau of each (shape, bound) it is asked for as long as
-the process lives (4000 after verify --mu 1 --rank 4000), and
-_column_reading one column order per shape.
+the process lives: 4000 of them after verify --mu 1 --rank 4000.
 """
 
 from __future__ import annotations
@@ -75,7 +74,9 @@ class Tableau(Value):
         """A tableau built without __init__'s checks: the caller guarantees that
         rows is a tuple of tuples of ints, one per part of the shape and as long
         as it, with positive entries weakly increasing along rows and strictly
-        increasing down columns.  The slots are set past the frozen __setattr__."""
+        increasing down columns.  lr._phi alone may break the order conditions:
+        its images serve only a crystal membership test.  The slots are set past
+        the frozen __setattr__."""
         tab = object.__new__(cls)
         _set_shape(tab, shape)
         _set_rows(tab, rows)
@@ -260,15 +261,9 @@ def middle_eastern_reading(tab: Tableau) -> Word:
     return reading_by_order(tab, _row_reading(tab.shape))
 
 
-@lru_cache(maxsize=None)
-def _column_reading(shape: Partition) -> TotalOrder:
-    """The column reading of a shape's cells, one order object per shape."""
-    return TotalOrder.eff(cells(shape))
-
-
 def far_eastern_reading(tab: Tableau) -> Word:
     """Read each column top to bottom, rightmost column first."""
-    return reading_by_order(tab, _column_reading(tab.shape))
+    return reading_by_order(tab, TotalOrder.eff(cells(tab.shape)))
 
 
 def _check_reading_order(order: TotalOrder, shape: Partition) -> None:

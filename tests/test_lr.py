@@ -431,6 +431,17 @@ def test_a_non_semistandard_phi_image_is_judged_by_membership(monkeypatch):
         "kind": "phi_image_outside_crystal", "picture": REF_PIC_FOR_T2.to_json()}
 
 
+@pytest.mark.parametrize("max_size", [9, pytest.param(12, marks=pytest.mark.slow)])
+def test_every_enumerated_picture_is_a_picture(max_size):
+    # verify_bijection runs no is_picture, so its verdict rests on this
+    pictures = 0
+    for inst in iter_instances(max_size):
+        for pic in enumerate_pictures(inst.mu, inst.skew_shape):
+            assert is_picture(pic, *inst._row_readings), (inst, pic)
+            pictures += 1
+    assert pictures == {9: 2793, 12: 22469}[max_size]
+
+
 def test_a_lattice_count_off_by_one(monkeypatch):
     real_lattice = lr.lr_coefficient_lattice
     assert injected_report(monkeypatch,

@@ -111,19 +111,19 @@ def test_swap_and_conjugation_symmetries_up_to_size_eight():
     assert max(pictures.values()) == 2
 
 
-def test_pictures_between_skew_shapes_count_zelevinskys_identity():
-    """The pictures from lam / mu onto nu / kappa number
+def zelevinsky_pair_counts(largest, brute_force_through=0):
+    """Check that the pictures from lam / mu onto nu / kappa number
     sum over tau of c(mu, tau; lam) * c(kappa, tau; nu), the scalar product
     of the two skew Schur functions, for every pair of skew shapes with n
-    cells, n <= 4, each drawn from an outer shape of at most n + 3 cells.
-    Up to 3 cells the pictures are also every bijection that is_picture
-    accepts."""
+    cells, n <= largest, each drawn from an outer shape of at most n + 3
+    cells.  Through brute_force_through cells the pictures must also be
+    every bijection that is_picture accepts.  Returns the pairs per n."""
     @cache
     def c(shape, tau):
         return lr_coefficient_lattice(LRInstance(shape.inner, tau, shape.outer))
 
     pairs = {}
-    for n in range(1, 5):
+    for n in range(1, largest + 1):
         # one shape per (outer, inner) pair, though two pairs can list the same cells
         family = [SkewShape(outer, inner) for size in range(n, n + 4)
                   for outer in partitions_of(size) for inner in subpartitions(outer)
@@ -134,7 +134,7 @@ def test_pictures_between_skew_shapes_count_zelevinskys_identity():
             for b in family:
                 found = enumerate_pictures(a, b)
                 assert len(found) == sum(c(a, tau) * c(b, tau) for tau in taus), (a, b)
-                if n > 3:
+                if n > brute_force_through:
                     continue
                 domain, codomain = TotalOrder.jay(a.cells()), TotalOrder.jay(b.cells())
                 # sources row-major, as a picture's pairs are sorted
@@ -142,29 +142,18 @@ def test_pictures_between_skew_shapes_count_zelevinskys_identity():
                 accepted = {pairing for pairing in bijections
                             if is_picture(pairing, domain, codomain)}
                 assert {picture.pairs for picture in found} == accepted, (a, b)
+    return pairs
+
+
+def test_pictures_between_skew_shapes_count_zelevinskys_identity():
+    pairs = zelevinsky_pair_counts(4, brute_force_through=3)
     assert sum(pairs.values()) == 7210
     assert sum(pairs[n] for n in (1, 2, 3)) == 2721
 
 
 @pytest.mark.slow
 def test_zelevinskys_identity_on_every_skew_pair_up_to_six_cells():
-    """The identity of the test above, counts only, on the skew pairs with n <= 6 cells."""
-    @cache
-    def c(shape, tau):
-        return lr_coefficient_lattice(LRInstance(shape.inner, tau, shape.outer))
-
-    pairs = 0
-    for n in range(1, 7):
-        family = [SkewShape(outer, inner) for size in range(n, n + 4)
-                  for outer in partitions_of(size) for inner in subpartitions(outer)
-                  if inner.size == size - n]
-        pairs += len(family) ** 2
-        taus = partitions_of(n)
-        for a in family:
-            for b in family:
-                found = enumerate_pictures(a, b)
-                assert len(found) == sum(c(a, tau) * c(b, tau) for tau in taus), (a, b)
-    assert pairs == 38526
+    assert sum(zelevinsky_pair_counts(6).values()) == 38526
 
 
 def loaded_globals(code):

@@ -7,9 +7,9 @@ from lrpictures.pictures import (OrderCellMismatch, OrderNotAdmissible, TotalOrd
 from lrpictures.shapes import Partition, cells, partitions_of
 from lrpictures.tableaux import (CellOutsideShape, ColumnNotStrictlyIncreasing,
                                  EntryExceedsBound, RowNotWeaklyIncreasing,
-                                 ShapeMismatch, Tableau, Word, _column_reading,
-                                 enumerate_ssyt, far_eastern_reading, level_set,
-                                 make_tableau, middle_eastern_reading, p_function,
+                                 ShapeMismatch, Tableau, Word, enumerate_ssyt,
+                                 far_eastern_reading, level_set, make_tableau,
+                                 middle_eastern_reading, p_function,
                                  reading_by_order, weight)
 
 # eight-cell example: rows 1223 / 234 / 5
@@ -102,15 +102,6 @@ def test_named_readings_match_named_orders():
         assert jay.letters == middle_eastern_reading(tab).letters
         assert jay.source_cells == middle_eastern_reading(tab).source_cells
         assert eff.letters == far_eastern_reading(tab).letters
-
-
-def test_column_reading_is_one_order_per_shape_and_reads_as_a_fresh_one():
-    for total in range(7):
-        for shape in partitions_of(total):
-            assert _column_reading(shape) is _column_reading(Partition(shape.parts))
-            fresh = TotalOrder.eff(cells(shape))
-            for tab in enumerate_ssyt(shape, 3):
-                assert far_eastern_reading(tab) == reading_by_order(tab, fresh)
 
 
 def test_reading_by_explicit_order():
