@@ -8,13 +8,15 @@ is plain text by default and JSON with --format json; identical
 invocations produce byte-identical output.
 
 Exit status: 0 on success, 1 when a verification verb finds a failure,
-2 on usage or input errors.
+2 on usage or input errors, 141 (128 + SIGPIPE) when the reader closes
+the output early, as `lrpictures orders --mu 4,4,4,4 | head -1` does.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -366,7 +368,13 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:  # the signal docs' recipe: devnull takes the last flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

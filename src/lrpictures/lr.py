@@ -9,10 +9,11 @@ image cell; psi inverts it by sending each cell to the row named by its
 entry, at the column just past lam plus the entry's position from the
 right among equal entries.
 
-The public phi checks that its input is a picture and validates its
-tableau.  verify_bijection's _phi builds its tableaux unchecked, and psi and
-conjecture_experiment their pictures from _psi_pairs; the enumerated crystal
-and pictures judge them by membership.
+The public maps check their input: phi that it is given a picture, and
+it validates its tableau; psi that its tableau is in the filtered crystal.
+verify_bijection maps through their check-free twins _phi and _psi, and
+conjecture_experiment through _psi; the enumerated crystal and pictures
+judge the images by membership.
 
 lr_coefficient_lattice is a deliberately separate oracle: it never
 touches the tableau, crystal, or picture code paths, so agreement between
@@ -142,23 +143,26 @@ def phi(pic: Picture, inst: LRInstance) -> Tableau:
 def _phi(pic: Picture, inst: LRInstance) -> Tableau:
     """phi with no check.  Pairs sorted by source run row-major over mu, so their target
     rows are its entries in row-major order; a non-picture may break semistandardness."""
-    return _tableaux_of(inst.mu, [tuple([target[0] for _, target in pic.pairs])])[0]
+    return Tableau._unchecked(inst.mu, inst._row_readings[0]._rows_of(
+        tuple([target[0] for _, target in pic.pairs])))
 
 
 def _psi_pairs(tab: Tableau, lam: Partition) -> tuple[tuple[Cell, Cell], ...]:
-    """Each cell with its psi target.  Equal entries form a horizontal strip, so rows
-    top down, each right to left, meet each level set in p_function's order.  The
-    pairs come sorted by source with no target repeated, as Picture._unchecked needs."""
-    seen: dict[int, int] = {}
-    pairs = []
-    for i, row in enumerate(tab.rows, start=1):
-        row_pairs = []
-        for j in range(len(row), 0, -1):
-            value = row[j - 1]
-            seen[value] = p = seen.get(value, 0) + 1
-            row_pairs.append(((i, j), (value, lam.part(value) + p)))
-        pairs += reversed(row_pairs)
-    return tuple(pairs)
+    """Each cell with its psi target: the row reading meets each level set (a horizontal
+    strip) in p_function's order, so a running column per entry up to len(lam) + |mu|,
+    started at lam's row, gives it.  Pairs come sorted by source, as _unchecked needs."""
+    reading = _row_reading(tab.shape)
+    columns = _row_lengths(0, lam, len(lam) + tab.size)
+    targets = []
+    for value in reading._gather(sum(tab.rows, ())):
+        columns[value] += 1
+        targets.append((value, columns[value]))
+    return tuple(zip(reading._key, [targets[t] for t in reading._key_positions]))
+
+
+def _psi(tab: Tableau, inst: LRInstance) -> Picture:
+    """psi with no check, for tableaux of the filtered crystal."""
+    return Picture._unchecked(_psi_pairs(tab, inst.lam))
 
 
 def psi(tab: Tableau, inst: LRInstance) -> Picture:
@@ -169,7 +173,7 @@ def psi(tab: Tableau, inst: LRInstance) -> Picture:
     """
     if not _in_lr_crystal(tab, inst):
         raise NotLRCrystal("the tableau is not in the filtered crystal for this instance")
-    return Picture._unchecked(_psi_pairs(tab, inst.lam))
+    return _psi(tab, inst)
 
 
 class BijectionReport(NamedTuple):
@@ -203,9 +207,9 @@ def verify_bijection(inst: LRInstance) -> BijectionReport:
     suffices.  It shows phi injective into the crystal with psi undoing it,
     so each tableau phi reaches passes the reverse check, and psi sends any
     other one outside the pictures or to a picture that phi sends elsewhere.
-    phi runs as the unchecked _phi: an image off the crystal fails membership,
-    and psi(tab) == pic pins pic's sources to the cells of mu.  No is_picture
-    runs here: the verdict trusts enumerate_pictures to return pictures.
+    The maps run unchecked: an image of _phi off the crystal fails membership,
+    _psi meets only lr_filter's tableaux, and _psi(tab) == pic pins pic's sources
+    to mu's cells.  The verdict trusts enumerate_pictures to return pictures.
     """
     pics = enumerate_pictures(inst.mu, inst.skew_shape)
     tabs = lr_filter(inst)
@@ -219,7 +223,7 @@ def verify_bijection(inst: LRInstance) -> BijectionReport:
             counterexample = {"kind": "phi_image_outside_crystal",
                               "picture": pic.to_json()}
             break
-        if psi(tab, inst) != pic:
+        if _psi(tab, inst) != pic:
             counterexample = {"kind": "psi_phi_not_identity",
                               "picture": pic.to_json()}
             break
@@ -227,7 +231,7 @@ def verify_bijection(inst: LRInstance) -> BijectionReport:
     if counterexample is None:
         unmatched = next((tab for tab in tabs if tab not in matched), None)
         if unmatched is not None:
-            kind = ("phi_psi_not_identity" if psi(unmatched, inst) in pics
+            kind = ("phi_psi_not_identity" if _psi(unmatched, inst) in pics
                     else "psi_image_outside_pictures")
             counterexample = {"kind": kind, "tableau": unmatched.to_json()}
     if counterexample is None and not len(pics) == len(tabs) == lattice:
@@ -394,7 +398,7 @@ def conjecture_experiment(inst: LRInstance, codomain_order: TotalOrder,
     tabs = lr_filter(inst, domain_order)
     pics = set(enumerate_pictures(inst.mu, inst.skew_shape,
                                   domain_order, codomain_order))
-    images = [Picture._unchecked(_psi_pairs(tab, inst.lam)) for tab in tabs]
+    images = [_psi(tab, inst) for tab in tabs]
     image_set = set(images)
     return ConjectureReport(
         inst, codomain_order, domain_order,

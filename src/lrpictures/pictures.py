@@ -14,9 +14,10 @@ TotalOrder(...) and Picture(...) canonicalise every coordinate with
 operator.index, so a non-integral one raises TypeError, and Picture
 sorts its pairs and rejects a repeated source or target.
 
-A TotalOrder keeps what the searches derive from it (its sorted cells,
-the picture search's tables, the filling steps and the reading gather)
-until it is freed.  Two caches here live as long as the process:
+A TotalOrder keeps what the searches derive from it until it is freed:
+its sorted cells and each one's listing position, the picture search's
+tables, the filling steps, the reading gather and the row slicer.  Two
+caches here live as long as the process:
 _row_reading holds one row reading per partition and per skew shape, and
 _admissible_orders holds the whole listing of every cell set it is asked
 about, a search's result: 24,024 orders for the cells of 4,4,4,4.
@@ -25,7 +26,9 @@ about, a search's result: 24,024 orders for the cells of 4,4,4,4.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
+from collections import Counter
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from operator import index, itemgetter
 from typing import Callable, Iterable, Mapping
 
@@ -111,6 +114,11 @@ class TotalOrder(Value):
         return tuple(sorted(self.cells))
 
     @cached_property
+    def _key_positions(self) -> tuple[int, ...]:
+        """The listing position of each cell of _key, in _key's order: the argsort."""
+        return tuple(sorted(range(len(self.cells)), key=self.cells.__getitem__))
+
+    @cached_property
     def _domain_tables(self) -> tuple[tuple[tuple[int, int, int, int], ...],
                                       tuple[int, ...], tuple[int, ...]]:
         return _build_domain_tables(self.cells)
@@ -130,6 +138,14 @@ class TotalOrder(Value):
         tableau whose shape has exactly the listed cells."""
         # itemgetter returns a scalar for one index and needs at least one
         return itemgetter(*[step[0] for step in self._filling_steps]) if len(self) > 1 else tuple
+
+    @cached_property
+    def _rows_of(self) -> Callable[[tuple[int, ...]], tuple[tuple[int, ...], ...]]:
+        """Cuts entries in _key's order into _key's rows, as tuples; itemgetter returns
+        a tuple only for two or more slices, so 0 or 1 rows take the entries whole."""
+        bounds = list(accumulate(Counter(i for i, _ in self._key).values(), initial=0))
+        return (itemgetter(*map(slice, bounds, bounds[1:])) if len(bounds) > 2
+                else lambda entries: (entries,) * (len(bounds) - 1))
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -441,7 +457,7 @@ def enumerate_pictures(mu: Partition | SkewShape, skew_shape: SkewShape,
     if codomain_order._key != codomain_reading._key:
         raise OrderCellMismatch("codomain order must list the skew cells")
 
-    sources = domain_order.cells
+    sources, source_positions = domain_order._key, domain_order._key_positions
     listing = codomain_order.cells
     n = len(listing)
     nbrs, before, after = domain_order._domain_tables
@@ -457,7 +473,7 @@ def enumerate_pictures(mu: Partition | SkewShape, skew_shape: SkewShape,
     while t >= 0:
         if t == n:
             found.append(Picture._unchecked(
-                tuple(sorted(zip(sources, [listing[q] for q in images[:n]])))))
+                tuple(zip(sources, [listing[images[s]] for s in source_positions]))))
             t -= 1
             continue
         q = images[t]

@@ -17,8 +17,7 @@ the process lives: 4000 of them after verify --mu 1 --rank 4000.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate
-from operator import index, itemgetter
+from operator import index
 from typing import Iterable, Sequence
 
 from .pictures import OrderCellMismatch, OrderNotAdmissible, TotalOrder, _row_reading
@@ -178,11 +177,12 @@ def _pruned_fillings(mu: Partition, lam: Partition, order: TotalOrder | None,
     rows = _row_lengths(unbounded, lam, rank_bound)
     limit = ([unbounded] * (rank_bound + 1) if cap is None
              else _row_lengths(unbounded, cap, rank_bound))
-    entries = [0] * len(steps)
+    n = len(steps)
+    entries = [0] * n
     found: list[tuple[int, ...]] = []
     k = 0
     while k >= 0:
-        if k == len(steps):
+        if k == n:
             found.append(tuple(entries))
             k -= 1
             continue
@@ -213,15 +213,12 @@ def _tableaux_of(shape: Partition, fillings: list[tuple[int, ...]]) -> tuple[Tab
     """The tableaux of the shape's fillings, in lexicographic row-major order.
 
     Fillings are not checked: the filling search's are semistandard by
-    construction, and lr._phi's are judged by membership in the crystal.
-    One itemgetter of the row slices gathers a filling's rows; it returns
-    a tuple only for two or more, so 0 or 1 rows take the entries whole.
+    construction.  Each is cut into rows by the row slicer that the shape's
+    row reading keeps (TotalOrder._rows_of), built once per shape.
     """
     if not fillings:
         return ()
-    bounds = list(accumulate(shape.parts, initial=0))
-    rows_of = (itemgetter(*map(slice, bounds, bounds[1:])) if len(shape) > 1
-               else lambda entries: (entries,) * len(shape))
+    rows_of = _row_reading(shape)._rows_of
     make = Tableau._unchecked
     return tuple([make(shape, rows_of(entries)) for entries in sorted(fillings)])
 

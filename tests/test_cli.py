@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lrpictures
 from lrpictures import cli
 from lrpictures.lr import BijectionReport, LRInstance, SizeSummary, SweepReport
 from lrpictures.pictures import TotalOrder
@@ -278,3 +283,18 @@ def test_bad_order_value(capsys):
 def test_help_exits_cleanly(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "count", "--help")[0] == 0
+
+
+def test_a_reader_that_closes_the_pipe_early_gets_no_traceback():
+    # 24,024 lines overflow any pipe buffer, so the writer meets the closed pipe
+    src = str(Path(lrpictures.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    with subprocess.Popen([sys.executable, "-m", "lrpictures.cli", "orders", "--mu", "4,4,4,4"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert first.startswith(b"0: (1,4) (1,3) (1,2) (1,1) (2,4)") and first.endswith(b"[jay]\n")
+    assert (code, err) == (141, b"")

@@ -403,8 +403,15 @@ def test_a_tableau_missing_from_the_filter_is_named_by_its_picture(monkeypatch):
 
 
 def test_a_constant_psi_fails_on_the_first_picture_it_misses(monkeypatch):
-    assert injected_report(monkeypatch, psi=lambda tab, inst: REF_PIC_FOR_T2) == {
+    assert injected_report(monkeypatch, _psi=lambda tab, inst: REF_PIC_FOR_T2) == {
         "kind": "psi_phi_not_identity", "picture": REF_PIC_FOR_T.to_json()}
+
+
+def test_a_psi_that_ignores_lam_fails_on_the_first_picture(monkeypatch):
+    def blind(tab, inst):
+        return Picture._unchecked(_psi_pairs(tab, Partition(())))
+    assert injected_report(monkeypatch, _psi=blind) == {
+        "kind": "psi_phi_not_identity", "picture": REF_PIC_FOR_T2.to_json()}
 
 
 def test_a_picture_missing_from_the_enumeration_is_named_by_its_tableau(monkeypatch):
@@ -415,11 +422,11 @@ def test_a_picture_missing_from_the_enumeration_is_named_by_its_tableau(monkeypa
 
 def test_an_extra_tableau_sent_to_a_reached_picture(monkeypatch):
     stray = make_tableau(Partition((3, 2)), ((1, 1, 1), (2, 2)))
-    real_filter, real_psi = lr.lr_filter, lr.psi
+    real_filter, real_psi = lr.lr_filter, lr._psi
     assert injected_report(
         monkeypatch,
         lr_filter=lambda inst: real_filter(inst) + (stray,),
-        psi=lambda tab, inst: REF_PIC_FOR_T2 if tab == stray else real_psi(tab, inst)) == {
+        _psi=lambda tab, inst: REF_PIC_FOR_T2 if tab == stray else real_psi(tab, inst)) == {
         "kind": "phi_psi_not_identity", "tableau": stray.to_json()}
 
 
@@ -460,13 +467,13 @@ def test_one_round_trip_per_picture(monkeypatch):
             return original(*args)
         return call
 
-    for name in ("phi", "_phi", "psi"):
+    for name in ("phi", "_phi", "psi", "_psi"):
         monkeypatch.setattr(lr, name, counted(name))
     stair = Partition((5, 4, 3, 2, 1))
     report = verify_bijection(LRInstance(stair, stair, Partition((8, 6, 5, 4, 3, 2, 1, 1))))
     assert report.ok and report.lattice == 176
-    # the round trips run through the unchecked _phi, never the public phi
-    assert calls == {"_phi": 176, "psi": 176}
+    # the round trips run through the unchecked _phi and _psi, never the public maps
+    assert calls == {"_phi": 176, "_psi": 176}
 
 
 def _read_and_add(tab, lam, order=None):

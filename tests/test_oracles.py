@@ -12,8 +12,9 @@ correspondence, J. Algebra 69 (1981).
 
 import builtins
 import dis
+import random
 from functools import cache
-from itertools import accumulate, permutations
+from itertools import accumulate, combinations_with_replacement, permutations
 from types import CodeType
 
 import pytest
@@ -21,7 +22,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lrpictures import lr, pictures, shapes, tableaux
-from lrpictures.lr import LRInstance, iter_instances, lr_coefficient_lattice, lr_filter
+from lrpictures.lr import (LRInstance, decompose_tensor, iter_instances, lr_coefficient_lattice,
+                           lr_filter, verify_bijection)
 from lrpictures.pictures import (TotalOrder, enumerate_admissible_orders, enumerate_pictures,
                                  is_picture)
 from lrpictures.shapes import Partition, SkewShape, cells, partitions_of, subpartitions
@@ -154,6 +156,45 @@ def test_pictures_between_skew_shapes_count_zelevinskys_identity():
 @pytest.mark.slow
 def test_zelevinskys_identity_on_every_skew_pair_up_to_six_cells():
     assert sum(zelevinsky_pair_counts(6).values()) == 38526
+
+
+def hook_content(shape, n):
+    """s_shape(1^n): the product over cells of (n + content) / hook length
+    (Stanley, Enumerative Combinatorics 2, 7.21.2)."""
+    columns = conjugate(shape)
+    top = bottom = 1
+    for i, part in enumerate(shape.parts, start=1):
+        for j in range(1, part + 1):
+            top *= n + j - i
+            bottom *= part - j + columns.part(j) - i + 1
+    assert top % bottom == 0
+    return top // bottom
+
+
+@pytest.mark.parametrize("box, draws", [(5, 60), pytest.param(6, 60, marks=pytest.mark.slow)])
+def test_random_draws_with_large_coefficients(box, draws):
+    """lam and mu uniform among the non-empty partitions in a box x box square,
+    nu drawn from their tensor product weighted by multiplicity, so c >= 1 and
+    c runs far past the exhaustive sweep's.  The drawn instance's bijection
+    holds, its multiplicity is the lattice count, and the whole product
+    satisfies sum over nu of c * s_nu(1^N) = s_lam(1^N) * s_mu(1^N), which
+    catches a missing or extra nu that no one instance shows."""
+    rng = random.Random(20090521 + box)
+    boxed = [Partition(tuple(sorted(parts, reverse=True)))
+             for parts in combinations_with_replacement(range(box + 1), box) if any(parts)]
+    largest = 0
+    for _ in range(draws):
+        lam, mu = rng.choice(boxed), rng.choice(boxed)
+        rank = max(len(lam), len(mu)) + rng.randint(1, 3)
+        product = decompose_tensor(lam, mu, rank)
+        assert (sum(c * hook_content(nu, rank) for nu, c in product.items())
+                == hook_content(lam, rank) * hook_content(mu, rank)), (lam, mu, rank)
+        nu = rng.choices(list(product), weights=list(product.values()))[0]
+        inst = LRInstance(lam, mu, nu)
+        report = verify_bijection(inst)
+        assert report.ok and report.lattice == product[nu], report.to_json()
+        largest = max(largest, report.lattice)
+    assert largest >= {5: 20, 6: 100}[box]
 
 
 def loaded_globals(code):

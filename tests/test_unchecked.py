@@ -3,16 +3,17 @@ checks, trusting that each value is valid by construction.  Rebuilding
 every such value through the validating constructor must give an equal
 value with an equal hash: a filling out of order, a picture whose pairs
 are not sorted by source, or a list where a tuple belongs fails here.
-verify_bijection's unchecked _phi must also give what the public phi gives."""
+verify_bijection's unchecked _phi and _psi must also give what the public
+phi and psi give."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrpictures.lr import LRInstance, _phi, iter_instances, lr_filter, phi, psi
+from lrpictures.lr import LRInstance, _phi, _psi, iter_instances, lr_filter, phi, psi
 from lrpictures.pictures import (Picture, TotalOrder, enumerate_admissible_orders,
                                  enumerate_pictures)
 from lrpictures.shapes import cells, partitions_of, subpartitions
-from lrpictures.tableaux import enumerate_ssyt, make_tableau
+from lrpictures.tableaux import enumerate_ssyt, make_tableau, p_function
 
 
 def assert_tableau_rebuilds(tab):
@@ -60,6 +61,20 @@ def test_unchecked_phi_images_equal_the_public_phis_and_rebuild():
             assert_tableau_rebuilds(tab)
             public = phi(pic, inst)
             assert tab == public and hash(tab) == hash(public)
+
+
+def test_unchecked_psi_images_equal_the_public_psis_and_rebuild():
+    for inst in iter_instances(7):
+        for tab in lr_filter(inst):
+            pic = _psi(tab, inst)
+            assert_picture_rebuilds(pic)
+            public = psi(tab, inst)
+            assert pic == public and hash(pic) == hash(public)
+            # psi by its definition: row v, column lam_v + the cell's p_function
+            assert pic == Picture(tuple(
+                ((i, j), (v, inst.lam.part(v) + p_function(tab, (i, j))))
+                for i, row in enumerate(tab.rows, start=1)
+                for j, v in enumerate(row, start=1)))
 
 
 def draw_instance(data, low, high):
