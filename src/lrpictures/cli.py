@@ -10,16 +10,22 @@ invocations produce byte-identical output.
 Exit status: 0 on success, 1 when a verification verb finds a failure,
 2 on usage or input errors, 141 (128 + SIGPIPE) when the reader closes
 the output early, as `lrpictures orders --mu 4,4,4,4 | head -1` does.
+
+A plain argv, the verb and then each option named in full once with its
+value, is read straight from the verb table (_parse_plain).  Everything
+else, help, abbreviations, --flag=value, repeats and every error, goes to
+argparse, which is imported only then; output and exit codes are the same
+either way.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from functools import lru_cache
-from typing import Callable, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .lr import (LRInstance, conjecture_rows, decompose_tensor, iter_instances,
                  lr_coefficient_all_methods, lr_filter, phi, psi, sweep, verify_bijection)
@@ -27,6 +33,9 @@ from .pictures import Picture, TotalOrder, enumerate_admissible_orders, enumerat
 from .shapes import Partition, cells
 from .tableaux import Tableau
 from .wordcrystal import verify_embedding
+
+if TYPE_CHECKING:
+    import argparse
 
 
 def parse_partition(text: str) -> Partition:
@@ -111,7 +120,7 @@ def _truncate(items: tuple, limit: int | None) -> tuple:
     return items if limit is None else items[:_nonnegative("--limit", limit)]
 
 
-def _instance(args: argparse.Namespace) -> LRInstance:
+def _instance(args: SimpleNamespace) -> LRInstance:
     return LRInstance(parse_partition(args.lam), parse_partition(args.mu),
                       parse_partition(args.nu), args.rank)
 
@@ -120,7 +129,7 @@ def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _emit_listing(args: argparse.Namespace, inst: LRInstance, key: str, items: Sequence,
+def _emit_listing(args: SimpleNamespace, inst: LRInstance, key: str, items: Sequence,
                   to_json: Callable, to_text: Callable, sep: str = "\n") -> None:
     """JSON {"instance", key: [to_json(item), ...]}, or the items' text joined by sep."""
     if args.format == "json":
@@ -129,7 +138,7 @@ def _emit_listing(args: argparse.Namespace, inst: LRInstance, key: str, items: S
         print(sep.join(to_text(item) for item in items))
 
 
-def _cmd_count(args: argparse.Namespace) -> int:
+def _cmd_count(args: SimpleNamespace) -> int:
     inst = _instance(args)
     triple = lr_coefficient_all_methods(inst)
     if args.format == "json":
@@ -139,7 +148,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_pictures(args: argparse.Namespace) -> int:
+def _cmd_pictures(args: SimpleNamespace) -> int:
     inst = _instance(args)
     domain = resolve_order(args.order, cells(inst.mu)) if args.order else None
     pics = _truncate(enumerate_pictures(inst.mu, inst.skew_shape, domain), args.limit)
@@ -147,7 +156,7 @@ def _cmd_pictures(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_crystals(args: argparse.Namespace) -> int:
+def _cmd_crystals(args: SimpleNamespace) -> int:
     inst = _instance(args)
     order = resolve_order(args.order, cells(inst.mu)) if args.order else None
     tabs = _truncate(lr_filter(inst, order), args.limit)
@@ -155,7 +164,7 @@ def _cmd_crystals(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_phi(args: argparse.Namespace) -> int:
+def _cmd_phi(args: SimpleNamespace) -> int:
     inst = _instance(args)
     pics = _truncate(enumerate_pictures(inst.mu, inst.skew_shape), args.limit)
     pairs = [(pic, phi(pic, inst)) for pic in pics]
@@ -165,7 +174,7 @@ def _cmd_phi(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_psi(args: argparse.Namespace) -> int:
+def _cmd_psi(args: SimpleNamespace) -> int:
     inst = _instance(args)
     tabs = _truncate(lr_filter(inst), args.limit)
     pairs = [(tab, psi(tab, inst)) for tab in tabs]
@@ -175,7 +184,7 @@ def _cmd_psi(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     if args.nu is not None:
         if args.lam is None or args.mu is None:
             raise ValueError("verify with --nu needs --lambda and --mu as well")
@@ -213,7 +222,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_decompose(args: argparse.Namespace) -> int:
+def _cmd_decompose(args: SimpleNamespace) -> int:
     lam = parse_partition(args.lam)
     mu = parse_partition(args.mu)
     order = resolve_order(args.order, cells(mu)) if args.order else None
@@ -229,7 +238,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_orders(args: argparse.Namespace) -> int:
+def _cmd_orders(args: SimpleNamespace) -> int:
     mu = parse_partition(args.mu)
     cell_set = cells(mu)
     everything = enumerate_admissible_orders(cell_set)
@@ -247,7 +256,7 @@ def _cmd_orders(args: argparse.Namespace) -> int:
     return 0
 
 
-def _conjecture_rows(args: argparse.Namespace):
+def _conjecture_rows(args: SimpleNamespace):
     if args.max_size is not None:
         unused = [flag for flag, value in (("--lambda", args.lam), ("--mu", args.mu),
                                            ("--nu", args.nu), ("--rank", args.rank))
@@ -261,7 +270,7 @@ def _conjecture_rows(args: argparse.Namespace):
     return conjecture_rows(_instance(args))
 
 
-def _cmd_conjecture(args: argparse.Namespace) -> int:
+def _cmd_conjecture(args: SimpleNamespace) -> int:
     rows = _conjecture_rows(args)
     if args.format == "json":
         rows = list(rows)
@@ -285,7 +294,7 @@ def _cmd_conjecture(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: SimpleNamespace) -> int:
     report = sweep(_nonnegative("--max-size", args.max_size))
     if args.format == "json":
         _emit_json(report.to_json())
@@ -312,7 +321,7 @@ _OPTIONS: dict[str, dict] = {
 }
 
 # verb -> (handler, help, options in --help order; a trailing ! marks a required one)
-_VERBS: dict[str, tuple[Callable[[argparse.Namespace], int], str, str]] = {
+_VERBS: dict[str, tuple[Callable[[SimpleNamespace], int], str, str]] = {
     "count": (_cmd_count, "picture, crystal, and lattice counts for one instance",
               "lambda! mu! nu! rank format"),
     "pictures": (_cmd_pictures, "list the pictures of one instance",
@@ -337,29 +346,70 @@ _VERBS: dict[str, tuple[Callable[[argparse.Namespace], int], str, str]] = {
 }
 
 
+def _verb_options(verb: str) -> list[tuple[str, bool]]:
+    """The verb's options in --help order, each as (flag, required)."""
+    return [(option.rstrip("!"), option.endswith("!")) for option in _VERBS[verb][2].split()]
+
+
 def _build_parser(verb: str | None = None) -> argparse.ArgumentParser:
     """The parser with the named verb's subparser alone, or with every verb's
     when it names none; a subparser's help and errors do not depend on its siblings."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="lrpictures",
         description="Pictures, Littlewood-Richardson crystals, and the bijection "
                     "between them.")
     sub = parser.add_subparsers(dest="verb", required=True, metavar="verb")
     for name in [verb] if verb in _VERBS else _VERBS:
-        _, help_text, options = _VERBS[name]
-        p = sub.add_parser(name, help=help_text)
-        for option in options.split():
-            flag = option.rstrip("!")
-            p.add_argument("--" + flag, required=flag != option, **_OPTIONS[flag])
+        p = sub.add_parser(name, help=_VERBS[name][1])
+        for flag, required in _verb_options(name):
+            p.add_argument("--" + flag, required=required, **_OPTIONS[flag])
     return parser
+
+
+def _parse_plain(argv: Sequence[str]) -> SimpleNamespace | None:
+    """What _build_parser's parser gives for `verb --option value ...`, each
+    option one of the verb's named in full at most once, with argparse's types,
+    choices, required options and defaults; None for any other argv (help,
+    abbreviations, --flag=value, repeats, values led by "-" other than "-"
+    itself, bad values), which argparse then reads."""
+    if not argv or argv[0] not in _VERBS or len(argv) % 2 == 0:
+        return None
+    given = dict(zip(argv[1::2], argv[2::2]))
+    if len(given) != len(argv) // 2:
+        return None
+    values = {"verb": argv[0]}
+    for flag, required in _verb_options(argv[0]):
+        spec = _OPTIONS[flag]
+        dest = spec.get("dest", flag.replace("-", "_"))
+        text = given.pop("--" + flag, None)
+        if text is None:
+            if required:
+                return None
+            values[dest] = spec.get("default")
+            continue
+        if text.startswith("-") and text != "-":
+            return None
+        try:
+            value = spec.get("type", str)(text)
+        except ValueError:
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        values[dest] = value
+    return None if given else SimpleNamespace(**values)
 
 
 def run(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    try:
-        args = _build_parser(argv[0] if argv else None).parse_args(argv)
-    except SystemExit as stop:
-        return int(stop.code or 0)
+    args = _parse_plain(argv)
+    if args is None:
+        parser = _build_parser(argv[0] if argv else None)
+        try:
+            args = SimpleNamespace(**vars(parser.parse_args(argv)))
+        except SystemExit as stop:
+            return int(stop.code or 0)
     try:
         return _VERBS[args.verb][0](args)
     except ValueError as err:
