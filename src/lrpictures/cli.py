@@ -120,9 +120,16 @@ def _truncate(items: tuple, limit: int | None) -> tuple:
     return items if limit is None else items[:_nonnegative("--limit", limit)]
 
 
+def _partition(flag: str, text: str) -> Partition:
+    try:
+        return parse_partition(text)
+    except ValueError as err:
+        raise ValueError(f"{flag} {text}: {err}") from None
+
+
 def _instance(args: SimpleNamespace) -> LRInstance:
-    return LRInstance(parse_partition(args.lam), parse_partition(args.mu),
-                      parse_partition(args.nu), args.rank)
+    return LRInstance(_partition("--lambda", args.lam), _partition("--mu", args.mu),
+                      _partition("--nu", args.nu), args.rank)
 
 
 def _emit_json(payload: dict) -> None:
@@ -205,7 +212,7 @@ def _cmd_verify(args: SimpleNamespace) -> int:
                          "(reading embedding check)")
     if args.lam is not None:
         raise ValueError("--lambda not used: verify without --nu checks the embedding of --mu")
-    shape = parse_partition(args.mu)
+    shape = _partition("--mu", args.mu)
     if args.rank < len(shape):
         raise ValueError(f"rank {args.rank} below the {len(shape)} rows of "
                          f"{_fmt_parts(shape)}: no tableau exists to check")
@@ -223,8 +230,8 @@ def _cmd_verify(args: SimpleNamespace) -> int:
 
 
 def _cmd_decompose(args: SimpleNamespace) -> int:
-    lam = parse_partition(args.lam)
-    mu = parse_partition(args.mu)
+    lam = _partition("--lambda", args.lam)
+    mu = _partition("--mu", args.mu)
     order = resolve_order(args.order, cells(mu)) if args.order else None
     table = decompose_tensor(lam, mu, args.rank, order)
     if args.format == "json":
@@ -239,7 +246,7 @@ def _cmd_decompose(args: SimpleNamespace) -> int:
 
 
 def _cmd_orders(args: SimpleNamespace) -> int:
-    mu = parse_partition(args.mu)
+    mu = _partition("--mu", args.mu)
     cell_set = cells(mu)
     everything = enumerate_admissible_orders(cell_set)
     listed = _truncate(everything, args.limit)
@@ -351,9 +358,8 @@ def _verb_options(verb: str) -> list[tuple[str, bool]]:
     return [(option.rstrip("!"), option.endswith("!")) for option in _VERBS[verb][2].split()]
 
 
-def _build_parser(verb: str | None = None) -> argparse.ArgumentParser:
-    """The parser with the named verb's subparser alone, or with every verb's
-    when it names none; a subparser's help and errors do not depend on its siblings."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser with every verb's subparser."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -361,7 +367,7 @@ def _build_parser(verb: str | None = None) -> argparse.ArgumentParser:
         description="Pictures, Littlewood-Richardson crystals, and the bijection "
                     "between them.")
     sub = parser.add_subparsers(dest="verb", required=True, metavar="verb")
-    for name in [verb] if verb in _VERBS else _VERBS:
+    for name in _VERBS:
         p = sub.add_parser(name, help=_VERBS[name][1])
         for flag, required in _verb_options(name):
             p.add_argument("--" + flag, required=required, **_OPTIONS[flag])
@@ -405,9 +411,8 @@ def run(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _parse_plain(argv)
     if args is None:
-        parser = _build_parser(argv[0] if argv else None)
         try:
-            args = SimpleNamespace(**vars(parser.parse_args(argv)))
+            args = SimpleNamespace(**vars(_build_parser().parse_args(argv)))
         except SystemExit as stop:
             return int(stop.code or 0)
     try:

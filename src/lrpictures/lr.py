@@ -11,9 +11,9 @@ right among equal entries.
 
 The public maps check their input: phi that it is given a picture, and
 it validates its tableau; psi that its tableau is in the filtered crystal.
-verify_bijection maps through their check-free twins _phi and _psi, and
-conjecture_experiment through _psi; the enumerated crystal and pictures
-judge the images by membership.
+Their check-free twins _phi and _psi map pictures to and from mu's entry
+tuples, the crystal as _fillings returns it; the three checks read it so,
+and the enumerated crystal and pictures judge the images by membership.
 
 lr_coefficient_lattice is a deliberately separate oracle: it never
 touches the tableau, crystal, or picture code paths, so agreement between
@@ -32,7 +32,7 @@ from .pictures import (Picture, SizeMismatch, TotalOrder, _row_reading,
                        enumerate_admissible_orders, enumerate_pictures, is_picture)
 from .shapes import (Cell, NotContained, Partition, SkewShape, Value, cells, partitions_of,
                      subpartitions)
-from .tableaux import Tableau, _pruned_fillings, _row_lengths, _tableaux_of
+from .tableaux import Tableau, _pruned_fillings, _row_cutter, _row_lengths, _tableaux_of
 # not used here; kept as names in lr that the perfbench tracer test patches
 from .shapes import add_sequence  # noqa: F401
 from .tableaux import enumerate_ssyt  # noqa: F401
@@ -94,6 +94,12 @@ class LRInstance(Value):
                 "nu": self.nu.to_json(), "rank_bound": self.rank_bound}
 
 
+def _fillings(inst: LRInstance, order: TotalOrder | None = None) -> list[tuple[int, ...]]:
+    """lr_filter's tableaux as mu's row-major entry tuples, in the search's order."""
+    # an entry past the rows of nu never lands on nu, so the rows of nu bound the search
+    return _pruned_fillings(inst.mu, inst.lam, order, len(inst.nu), inst.nu)
+
+
 def lr_filter(inst: LRInstance, order: TotalOrder | None = None) -> tuple[Tableau, ...]:
     """Tableaux over mu whose reading adds onto lam box by box, ending at nu.
 
@@ -103,9 +109,7 @@ def lr_filter(inst: LRInstance, order: TotalOrder | None = None) -> tuple[Tablea
     partitions or outgrows nu at its first bad box.  Output is in
     lexicographic row-major order, whatever the reading.
     """
-    # an entry past the rows of nu never lands on nu, so the rows of nu bound the search
-    return _tableaux_of(inst.mu, _pruned_fillings(inst.mu, inst.lam, order,
-                                                  len(inst.nu), inst.nu))
+    return _tableaux_of(inst.mu, _fillings(inst, order))
 
 
 def _landings(letters: Iterable[int], inst: LRInstance) -> list[Cell] | None:
@@ -134,35 +138,31 @@ def phi(pic: Picture, inst: LRInstance) -> Tableau:
     """Turn a picture into a tableau by taking the row coordinate of each image."""
     if not is_picture(pic, *inst._row_readings):
         raise NotAPicture("the pairing is not a picture for this instance")
-    mapping = pic.mapping
-    rows = tuple(tuple(mapping[(i, j)][0] for j in range(1, p + 1))
-                 for i, p in enumerate(inst.mu.parts, start=1))
-    return Tableau(inst.mu, rows)
+    return Tableau(inst.mu, _row_cutter(inst.mu)(_phi(pic, inst)))
 
 
-def _phi(pic: Picture, inst: LRInstance) -> Tableau:
-    """phi with no check.  Pairs sorted by source run row-major over mu, so their target
-    rows are its entries in row-major order; a non-picture may break semistandardness."""
-    return Tableau._unchecked(inst.mu, inst._row_readings[0]._rows_of(
-        tuple([target[0] for _, target in pic.pairs])))
+def _phi(pic: Picture, inst: LRInstance) -> tuple[int, ...]:
+    """phi with no check, as mu's entries: pairs sorted by source run row-major
+    over mu, so their target rows are its entries in row-major order."""
+    return tuple([target[0] for _, target in pic.pairs])
 
 
-def _psi_pairs(tab: Tableau, lam: Partition) -> tuple[tuple[Cell, Cell], ...]:
-    """Each cell with its psi target: the row reading meets each level set (a horizontal
-    strip) in p_function's order, so a running column per entry up to len(lam) + |mu|,
-    started at lam's row, gives it.  Pairs come sorted by source, as _unchecked needs."""
-    reading = _row_reading(tab.shape)
-    columns = _row_lengths(0, lam, len(lam) + tab.size)
+def _psi_pairs(entries: tuple[int, ...], inst: LRInstance) -> tuple[tuple[Cell, Cell], ...]:
+    """Each cell of mu with its psi target: the row reading meets each level set (a
+    horizontal strip) in p_function's order, so a running column per entry up to
+    len(lam) + |mu|, started at lam's row, gives it.  Pairs come sorted by source."""
+    reading = inst._row_readings[0]
+    columns = _row_lengths(0, inst.lam, len(inst.lam) + len(entries))
     targets = []
-    for value in reading._gather(sum(tab.rows, ())):
+    for value in reading._gather(entries):
         columns[value] += 1
         targets.append((value, columns[value]))
     return tuple(zip(reading._key, [targets[t] for t in reading._key_positions]))
 
 
-def _psi(tab: Tableau, inst: LRInstance) -> Picture:
-    """psi with no check, for tableaux of the filtered crystal."""
-    return Picture._unchecked(_psi_pairs(tab, inst.lam))
+def _psi(entries: tuple[int, ...], inst: LRInstance) -> Picture:
+    """psi with no check, for mu's entries of a filling in the filtered crystal."""
+    return Picture._unchecked(_psi_pairs(entries, inst))
 
 
 def psi(tab: Tableau, inst: LRInstance) -> Picture:
@@ -173,7 +173,7 @@ def psi(tab: Tableau, inst: LRInstance) -> Picture:
     """
     if not _in_lr_crystal(tab, inst):
         raise NotLRCrystal("the tableau is not in the filtered crystal for this instance")
-    return _psi(tab, inst)
+    return _psi(sum(tab.rows, ()), inst)
 
 
 class BijectionReport(NamedTuple):
@@ -207,38 +207,39 @@ def verify_bijection(inst: LRInstance) -> BijectionReport:
     suffices.  It shows phi injective into the crystal with psi undoing it,
     so each tableau phi reaches passes the reverse check, and psi sends any
     other one outside the pictures or to a picture that phi sends elsewhere.
-    The maps run unchecked: an image of _phi off the crystal fails membership,
-    _psi meets only lr_filter's tableaux, and _psi(tab) == pic pins pic's sources
-    to mu's cells.  The verdict trusts enumerate_pictures to return pictures.
+    The maps run unchecked on mu's entries: an image of _phi off the crystal
+    fails membership, _psi meets only crystal fillings, and _psi(entries) == pic
+    pins pic's sources to mu's cells.  The verdict trusts enumerate_pictures.
     """
     pics = enumerate_pictures(inst.mu, inst.skew_shape)
-    tabs = lr_filter(inst)
+    fillings = _fillings(inst)
     lattice = lr_coefficient_lattice(inst)
-    crystal_set = set(tabs)
-    matched: set[Tableau] = set()
+    crystal = set(fillings)
+    matched: set[tuple[int, ...]] = set()
     counterexample = None
     for pic in pics:
-        tab = _phi(pic, inst)
-        if tab not in crystal_set:
+        entries = _phi(pic, inst)
+        if entries not in crystal:
             counterexample = {"kind": "phi_image_outside_crystal",
                               "picture": pic.to_json()}
             break
-        if _psi(tab, inst) != pic:
+        if _psi(entries, inst) != pic:
             counterexample = {"kind": "psi_phi_not_identity",
                               "picture": pic.to_json()}
             break
-        matched.add(tab)
-    if counterexample is None:
-        unmatched = next((tab for tab in tabs if tab not in matched), None)
-        if unmatched is not None:
-            kind = ("phi_psi_not_identity" if _psi(unmatched, inst) in pics
-                    else "psi_image_outside_pictures")
-            counterexample = {"kind": kind, "tableau": unmatched.to_json()}
-    if counterexample is None and not len(pics) == len(tabs) == lattice:
+        matched.add(entries)
+    if counterexample is None and len(matched) < len(crystal):
+        # the smallest filling comes first in lr_filter's lexicographic order
+        unmatched = min(crystal - matched)
+        kind = ("phi_psi_not_identity" if _psi(unmatched, inst) in pics
+                else "psi_image_outside_pictures")
+        counterexample = {"kind": kind,
+                          "tableau": _tableaux_of(inst.mu, [unmatched])[0].to_json()}
+    if counterexample is None and not len(pics) == len(fillings) == lattice:
         counterexample = {"kind": "count_mismatch", "pictures": len(pics),
-                          "crystals": len(tabs), "lattice": lattice}
+                          "crystals": len(fillings), "lattice": lattice}
     status = "ok" if counterexample is None else "fail"
-    return BijectionReport(inst, len(pics), len(tabs), lattice, status, counterexample)
+    return BijectionReport(inst, len(pics), len(fillings), lattice, status, counterexample)
 
 
 def _sends_reading_to_landings(tab: Tableau, mapping: dict, inst: LRInstance) -> bool:
@@ -351,7 +352,7 @@ def lr_coefficient_all_methods(inst: LRInstance) -> CountTriple:
     """Three independently computed counts; agreement is the headline check."""
     return CountTriple(
         pictures=len(enumerate_pictures(inst.mu, inst.skew_shape)),
-        crystals=len(lr_filter(inst)),
+        crystals=len(_fillings(inst)),
         lattice=lr_coefficient_lattice(inst),
     )
 
@@ -395,14 +396,14 @@ def conjecture_experiment(inst: LRInstance, codomain_order: TotalOrder,
     enumerate_pictures, which returns every picture of the pair, lists it:
     both sort their pairs by source, so equal pairings are equal Pictures.
     """
-    tabs = lr_filter(inst, domain_order)
+    fillings = _fillings(inst, domain_order)
     pics = set(enumerate_pictures(inst.mu, inst.skew_shape,
                                   domain_order, codomain_order))
-    images = [_psi(tab, inst) for tab in tabs]
+    images = [_psi(entries, inst) for entries in fillings]
     image_set = set(images)
     return ConjectureReport(
         inst, codomain_order, domain_order,
-        crystals=len(tabs), pictures=len(pics),
+        crystals=len(fillings), pictures=len(pics),
         well_defined=image_set <= pics,
         injective=len(image_set) == len(images),
         surjective=pics <= image_set,

@@ -14,21 +14,18 @@ TotalOrder(...) and Picture(...) canonicalise every coordinate with
 operator.index, so a non-integral one raises TypeError, and Picture
 sorts its pairs and rejects a repeated source or target.
 
-A TotalOrder keeps what the searches derive from it until it is freed:
-its sorted cells and each one's listing position, the picture search's
-tables, the filling steps, the reading gather and the row slicer.  Two
-caches here live as long as the process:
-_row_reading holds one row reading per partition and per skew shape, and
-_admissible_orders holds the whole listing of every cell set it is asked
-about, a search's result: 24,024 orders for the cells of 4,4,4,4.
+A TotalOrder keeps what the searches derive from it until it is freed: its
+sorted cells and each one's listing position, the picture search's tables,
+the filling steps and the reading gather.  Two caches here live as long as
+the process: _row_reading holds one row reading per partition and per skew
+shape, and _admissible_orders holds the whole listing of every cell set it
+is asked about, a search's result: 24,024 orders for the cells of 4,4,4,4.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from collections import Counter
 from functools import cached_property, lru_cache
-from itertools import accumulate
 from operator import index, itemgetter
 from typing import Callable, Iterable, Mapping
 
@@ -138,14 +135,6 @@ class TotalOrder(Value):
         tableau whose shape has exactly the listed cells."""
         # itemgetter returns a scalar for one index and needs at least one
         return itemgetter(*[step[0] for step in self._filling_steps]) if len(self) > 1 else tuple
-
-    @cached_property
-    def _rows_of(self) -> Callable[[tuple[int, ...]], tuple[tuple[int, ...], ...]]:
-        """Cuts entries in _key's order into _key's rows, as tuples; itemgetter returns
-        a tuple only for two or more slices, so 0 or 1 rows take the entries whole."""
-        bounds = list(accumulate(Counter(i for i, _ in self._key).values(), initial=0))
-        return (itemgetter(*map(slice, bounds, bounds[1:])) if len(bounds) > 2
-                else lambda entries: (entries,) * (len(bounds) - 1))
 
     def __len__(self) -> int:
         return len(self.cells)

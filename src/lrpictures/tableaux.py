@@ -7,18 +7,19 @@ entries along an admissible order on the cells (reading_by_order); the
 row and column readings are its two named cases.
 
 Tableau(...), make_tableau and Word(...) check and canonicalise their
-input, so a non-integral entry or coordinate raises TypeError.  The
-tableaux built from the package's one filling search, _pruned_fillings,
-are semistandard by construction and skip that check.  enumerate_ssyt
-keeps every tableau of each (shape, bound) it is asked for as long as
-the process lives: 4000 of them after verify --mu 1 --rank 4000.
+input, so a non-integral entry or coordinate raises TypeError.  Only
+_tableaux_of skips that check, through Tableau._unchecked, and only for
+the fillings of _pruned_fillings, semistandard by construction.
+enumerate_ssyt keeps every tableau of each (shape, bound) it is asked for
+as long as the process lives: 4000 of them after verify --mu 1 --rank 4000.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import index
-from typing import Iterable, Sequence
+from itertools import accumulate
+from operator import index, itemgetter
+from typing import Callable, Iterable, Sequence
 
 from .pictures import OrderCellMismatch, OrderNotAdmissible, TotalOrder, _row_reading
 from .shapes import Cell, Partition, Value, cells
@@ -73,9 +74,7 @@ class Tableau(Value):
         """A tableau built without __init__'s checks: the caller guarantees that
         rows is a tuple of tuples of ints, one per part of the shape and as long
         as it, with positive entries weakly increasing along rows and strictly
-        increasing down columns.  lr._phi alone may break the order conditions:
-        its images serve only a crystal membership test.  The slots are set past
-        the frozen __setattr__."""
+        increasing down columns.  The slots are set past the frozen __setattr__."""
         tab = object.__new__(cls)
         _set_shape(tab, shape)
         _set_rows(tab, rows)
@@ -209,16 +208,20 @@ def _pruned_fillings(mu: Partition, lam: Partition, order: TotalOrder | None,
     return found
 
 
-def _tableaux_of(shape: Partition, fillings: list[tuple[int, ...]]) -> tuple[Tableau, ...]:
-    """The tableaux of the shape's fillings, in lexicographic row-major order.
+def _row_cutter(shape: Partition) -> Callable[[tuple[int, ...]], tuple[tuple[int, ...], ...]]:
+    """Cuts the shape's row-major entries into its rows, as tuples; itemgetter returns
+    a tuple only for two or more slices, so 0 or 1 rows take the entries whole."""
+    bounds = list(accumulate(shape.parts, initial=0))
+    return (itemgetter(*map(slice, bounds, bounds[1:])) if len(shape) > 1
+            else lambda entries: (entries,) * len(shape))
 
-    Fillings are not checked: the filling search's are semistandard by
-    construction.  Each is cut into rows by the row slicer that the shape's
-    row reading keeps (TotalOrder._rows_of), built once per shape.
-    """
+
+def _tableaux_of(shape: Partition, fillings: list[tuple[int, ...]]) -> tuple[Tableau, ...]:
+    """The tableaux of the shape's fillings, in lexicographic row-major order, unchecked:
+    the filling search's are semistandard by construction."""
     if not fillings:
         return ()
-    rows_of = _row_reading(shape)._rows_of
+    rows_of = _row_cutter(shape)
     make = Tableau._unchecked
     return tuple([make(shape, rows_of(entries)) for entries in sorted(fillings)])
 

@@ -57,3 +57,30 @@ def test_an_option_the_verb_would_ignore_is_a_usage_error(capsys, argv, flag):
     assert out == ""
     assert err.startswith(f"error: {flag} not used: ")
     assert err.count("\n") == 1
+
+
+MALFORMED_PARTITIONS = [
+    (["count", "--lambda", "1,2", "--mu", "2", "--nu", "3,2"],
+     "error: --lambda 1,2: part 1 is 1 but part 2 is 2\n"),
+    (["count", "--lambda", "1", "--mu", "2,-1", "--nu", "3,2"],
+     "error: --mu 2,-1: part 2 is -1\n"),
+    (["count", "--lambda", "1", "--mu", "2", "--nu", "3,x"],
+     "error: --nu 3,x: cannot parse partition '3,x': expected comma-separated integers\n"),
+    *[([verb, "--lambda", "1", "--mu", "2", "--nu", "2,3"],
+       "error: --nu 2,3: part 1 is 2 but part 2 is 3\n")
+      for verb in ("pictures", "crystals", "phi", "psi", "verify", "conjecture")],
+    (["verify", "--mu", "1,3", "--rank", "3"], "error: --mu 1,3: part 1 is 1 but part 2 is 3\n"),
+    (["orders", "--mu", "1,3"], "error: --mu 1,3: part 1 is 1 but part 2 is 3\n"),
+    # a value led by "-" goes through argparse
+    (["orders", "--mu", "-1"], "error: --mu -1: part 1 is -1\n"),
+    (["decompose", "--lambda", "1,2", "--mu", "1", "--rank", "3"],
+     "error: --lambda 1,2: part 1 is 1 but part 2 is 2\n"),
+    (["decompose", "--lambda", "1", "--mu", "1,x", "--rank", "3"],
+     "error: --mu 1,x: cannot parse partition '1,x': expected comma-separated integers\n"),
+]
+
+
+@pytest.mark.parametrize("argv, err", MALFORMED_PARTITIONS,
+                         ids=[" ".join(argv) for argv, _ in MALFORMED_PARTITIONS])
+def test_a_malformed_partition_is_named_by_its_option(capsys, argv, err):
+    assert run(capsys, *argv) == (2, "", err)

@@ -38,11 +38,6 @@ def test_the_full_parser_has_every_verb():
 
 
 @pytest.mark.parametrize("verb", VERBS)
-def test_a_parser_built_for_a_verb_has_that_verb_alone(verb):
-    assert list(_choices(cli._build_parser(verb))) == [verb]
-
-
-@pytest.mark.parametrize("verb", VERBS)
 def test_verb_help_matches_the_full_parser(capsys, verb):
     expected = _choices(cli._build_parser())[verb].format_help()
     assert _run(capsys, cli.run, [verb, "--help"]) == (0, expected, "")

@@ -1,7 +1,7 @@
 """cli.run reads a plain `verb --option value ...` argv from the verb table
 and hands every other argv to argparse; which path runs must not show.
 
-The reference is the parser _build_parser builds for the argv's verb: where
+The reference is the parser _build_parser builds: where
 _parse_plain accepts an argv, it must give argparse's namespace, and the
 argvs it refuses must keep argparse's exit code and text.
 """
@@ -42,7 +42,7 @@ def _argparse_run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            args = cli._build_parser(argv[0] if argv else None).parse_args(argv)
+            args = cli._build_parser().parse_args(argv)
             code = cli._VERBS[args.verb][0](args)
         except SystemExit as stop:
             code = int(stop.code or 0)
@@ -57,8 +57,8 @@ GOLDEN_ENTRIES = json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 @pytest.mark.parametrize("entry", GOLDEN_ENTRIES, ids=lambda entry: " ".join(entry["argv"]))
 def test_golden_argvs_build_no_parser(monkeypatch, entry):
-    def refuse(verb=None):
-        raise AssertionError(f"argparse parser built for {verb!r}")
+    def refuse():
+        raise AssertionError("argparse parser built")
 
     monkeypatch.setattr(cli, "_build_parser", refuse)
     assert _run(entry["argv"])[:2] == (entry["exit"], entry["stdout"])
@@ -161,7 +161,7 @@ def _argparse_namespace(argv):
     where it stops."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            return vars(cli._build_parser(argv[0]).parse_args(argv))
+            return vars(cli._build_parser().parse_args(argv))
         except SystemExit:
             return None
 

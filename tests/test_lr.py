@@ -350,7 +350,7 @@ def reference_experiment(inst, codomain_order, domain_order):
     it tested membership in the pair's enumerated pictures."""
     tabs = lr_filter(inst, domain_order)
     pics = set(enumerate_pictures(inst.mu, inst.skew_shape, domain_order, codomain_order))
-    images = [Picture(_psi_pairs(tab, inst.lam)) for tab in tabs]
+    images = [Picture(_psi_pairs(sum(tab.rows, ()), inst)) for tab in tabs]
     image_set = set(images)
     return ConjectureReport(
         inst, codomain_order, domain_order, crystals=len(tabs), pictures=len(pics),
@@ -387,7 +387,12 @@ def test_bijection_report_shape_for_failures():
 
 # Faults injected into the names verify_bijection looks up in lrpictures.lr,
 # on the reference instance (c = 2).  The pictures come out as
-# (REF_PIC_FOR_T2, REF_PIC_FOR_T) and the tableaux as (REF_T, REF_T2).
+# (REF_PIC_FOR_T2, REF_PIC_FOR_T) and the tableaux as (REF_T, REF_T2); the
+# check reads each tableau as its row-major entries.
+
+def entries(tab):
+    return sum(tab.rows, ())
+
 
 def injected_report(monkeypatch, **faults):
     for name, fake in faults.items():
@@ -398,7 +403,7 @@ def injected_report(monkeypatch, **faults):
 
 
 def test_a_tableau_missing_from_the_filter_is_named_by_its_picture(monkeypatch):
-    assert injected_report(monkeypatch, lr_filter=lambda inst: (REF_T2,)) == {
+    assert injected_report(monkeypatch, _fillings=lambda inst: [entries(REF_T2)]) == {
         "kind": "phi_image_outside_crystal", "picture": REF_PIC_FOR_T.to_json()}
 
 
@@ -408,8 +413,9 @@ def test_a_constant_psi_fails_on_the_first_picture_it_misses(monkeypatch):
 
 
 def test_a_psi_that_ignores_lam_fails_on_the_first_picture(monkeypatch):
-    def blind(tab, inst):
-        return Picture._unchecked(_psi_pairs(tab, Partition(())))
+    def blind(filling, inst):
+        return Picture._unchecked(_psi_pairs(filling, LRInstance(Partition(()), inst.mu,
+                                                                 inst.mu)))
     assert injected_report(monkeypatch, _psi=blind) == {
         "kind": "psi_phi_not_identity", "picture": REF_PIC_FOR_T2.to_json()}
 
@@ -422,18 +428,20 @@ def test_a_picture_missing_from_the_enumeration_is_named_by_its_tableau(monkeypa
 
 def test_an_extra_tableau_sent_to_a_reached_picture(monkeypatch):
     stray = make_tableau(Partition((3, 2)), ((1, 1, 1), (2, 2)))
-    real_filter, real_psi = lr.lr_filter, lr._psi
+    real_fillings, real_psi = lr._fillings, lr._psi
     assert injected_report(
         monkeypatch,
-        lr_filter=lambda inst: real_filter(inst) + (stray,),
-        _psi=lambda tab, inst: REF_PIC_FOR_T2 if tab == stray else real_psi(tab, inst)) == {
+        _fillings=lambda inst: real_fillings(inst) + [entries(stray)],
+        _psi=lambda filling, inst: (REF_PIC_FOR_T2 if filling == entries(stray)
+                                    else real_psi(filling, inst))) == {
         "kind": "phi_psi_not_identity", "tableau": stray.to_json()}
 
 
 def test_a_non_semistandard_phi_image_is_judged_by_membership(monkeypatch):
-    # row 1 decreases, yet its row reading adds onto lam and lands on nu
-    unsorted = Tableau._unchecked(Partition((3, 2)), ((2, 2, 1), (4, 3)))
-    assert _in_lr_crystal(unsorted, ref_instance())
+    # row 1 of mu = (3, 2) decreases, yet the row reading adds onto lam and lands on nu
+    unsorted = (2, 2, 1, 4, 3)
+    inst = ref_instance()
+    assert _landings(inst._row_readings[0]._gather(unsorted), inst) is not None
     assert injected_report(monkeypatch, _phi=lambda pic, inst: unsorted) == {
         "kind": "phi_image_outside_crystal", "picture": REF_PIC_FOR_T2.to_json()}
 
@@ -474,6 +482,33 @@ def test_one_round_trip_per_picture(monkeypatch):
     assert report.ok and report.lattice == 176
     # the round trips run through the unchecked _phi and _psi, never the public maps
     assert calls == {"_phi": 176, "_psi": 176}
+
+
+def test_the_checks_build_no_tableau_on_a_passing_instance(monkeypatch):
+    built = Counter()
+    real_init, real_unchecked = Tableau.__init__, Tableau._unchecked.__func__
+
+    def init(self, *args):
+        built["__init__"] += 1
+        real_init(self, *args)
+
+    def unchecked(cls, *args):
+        built["_unchecked"] += 1
+        return real_unchecked(cls, *args)
+
+    monkeypatch.setattr(Tableau, "__init__", init)
+    monkeypatch.setattr(Tableau, "_unchecked", classmethod(unchecked))
+    stair = Partition((5, 4, 3, 2, 1))
+    inst = LRInstance(stair, stair, Partition((8, 6, 5, 4, 3, 2, 1, 1)))
+    domain, codomain = inst._row_readings
+    assert verify_bijection(inst).ok
+    assert conjecture_experiment(inst, codomain, domain).holds
+    assert lr_coefficient_all_methods(inst) == (176, 176, 176)
+    assert not built
+    # the counters do see the tableaux the public API returns
+    phi(enumerate_pictures(inst.mu, inst.skew_shape)[0], inst)
+    lr_filter(inst)
+    assert built == {"__init__": 1, "_unchecked": 176}
 
 
 def _read_and_add(tab, lam, order=None):
@@ -632,4 +667,4 @@ def test_row_lengths_and_one_scan_match_reading_and_p_function():
                 if top <= inst.rank_bound + 1:
                     assert _in_lr_crystal(tab, inst) == (final == inst.nu)
             if top <= rank:
-                assert _psi_pairs(tab, lam) == reference_psi_pairs(tab, lam)
+                assert _psi_pairs(sum(tab.rows, ()), insts[0]) == reference_psi_pairs(tab, lam)

@@ -77,7 +77,8 @@ def test_reused_orders_give_what_fresh_copies_give():
                                                   new_domain, new_codomain)
                 assert tabs == lr_filter(inst, new_domain)
                 assert report == conjecture_experiment(inst, new_codomain, new_domain)
-                images = [Picture._unchecked(_psi_pairs(tab, inst.lam)) for tab in tabs]
+                images = [Picture._unchecked(_psi_pairs(sum(tab.rows, ()), inst))
+                          for tab in tabs]
                 for pic in images + list(pics):
                     assert (is_picture(pic, domain, codomain)
                             == is_picture(pic, new_domain, new_codomain))
