@@ -72,10 +72,6 @@ def resolve_order(name: str, cell_set: tuple) -> TotalOrder:
     raise ValueError(f"unknown order {name!r}: expected jay, eff, or index:<k>")
 
 
-def _fmt_parts(shape: Partition) -> str:
-    return ",".join(str(part) for part in shape.parts) if shape.parts else "-"
-
-
 def _fmt_cell(cell: tuple[int, int]) -> str:
     return f"({cell[0]},{cell[1]})"
 
@@ -215,7 +211,7 @@ def _cmd_verify(args: SimpleNamespace) -> int:
     shape = _partition("--mu", args.mu)
     if args.rank < len(shape):
         raise ValueError(f"rank {args.rank} below the {len(shape)} rows of "
-                         f"{_fmt_parts(shape)}: no tableau exists to check")
+                         f"{shape}: no tableau exists to check")
     order = resolve_order(args.order or "jay", cells(shape))
     report = verify_embedding(shape, args.rank, order)
     if args.format == "json":
@@ -241,7 +237,7 @@ def _cmd_decompose(args: SimpleNamespace) -> int:
                                    for shape, mult in table.items()]})
     else:
         for shape, mult in table.items():
-            print(f"nu={_fmt_parts(shape)} multiplicity={mult}")
+            print(f"nu={shape} multiplicity={mult}")
     return 0
 
 
@@ -291,8 +287,8 @@ def _cmd_conjecture(args: SimpleNamespace) -> int:
         inst = row.instance
         codomain = _order_label(row.codomain_order, inst.skew_shape.cells())
         domain = _order_label(row.domain_order, cells(inst.mu))
-        print(f"lambda={_fmt_parts(inst.lam)} mu={_fmt_parts(inst.mu)} "
-              f"nu={_fmt_parts(inst.nu)} codomain={codomain} domain={domain} "
+        print(f"lambda={inst.lam} mu={inst.mu} "
+              f"nu={inst.nu} codomain={codomain} domain={domain} "
               f"crystals={row.crystals} pictures={row.pictures} "
               f"well_defined={_yn(row.well_defined)} injective={_yn(row.injective)} "
               f"surjective={_yn(row.surjective)} "

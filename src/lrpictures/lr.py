@@ -5,12 +5,12 @@ plus an entry bound for tableaux.  The filtered crystal consists of the
 tableaux over mu whose reading word, added to lam one box at a time,
 stays a partition throughout and lands exactly on nu.  phi turns a
 picture into such a tableau by recording the row coordinate of each
-image cell; psi inverts it by sending each cell to the row named by its
-entry, at the column just past lam plus the entry's position from the
-right among equal entries.
+image cell; psi inverts it by sending each cell to the cell where its
+letter lands when the row reading is added to lam.  _landings is that
+one walk, and it tells psi's domain by landing on nu or not.
 
 The public maps check their input: phi that it is given a picture, and
-it validates its tableau; psi that its tableau is in the filtered crystal.
+it validates its tableau; psi that its tableau has shape mu and lands.
 Their check-free twins _phi and _psi map pictures to and from mu's entry
 tuples, the crystal as _fillings returns it; the three checks read it so,
 and the enumerated crystal and pictures judge the images by membership.
@@ -32,7 +32,8 @@ from .pictures import (Picture, SizeMismatch, TotalOrder, _row_reading,
                        enumerate_admissible_orders, enumerate_pictures, is_picture)
 from .shapes import (Cell, NotContained, Partition, SkewShape, Value, cells, partitions_of,
                      subpartitions)
-from .tableaux import Tableau, _pruned_fillings, _row_cutter, _row_lengths, _tableaux_of
+from .tableaux import (Tableau, _pruned_fillings, _row_cutter, _row_lengths, _tableaux_of,
+                       p_function)
 # not used here; kept as names in lr that the perfbench tracer test patches
 from .shapes import add_sequence  # noqa: F401
 from .tableaux import enumerate_ssyt  # noqa: F401
@@ -64,7 +65,7 @@ class LRInstance(Value):
         if lam.size + mu.size != nu.size:
             raise SizeMismatch(f"sizes must add up: {lam.size} + {mu.size} != {nu.size}")
         if not nu.contains(lam):
-            raise NotContained(f"{lam.parts} does not fit inside {nu.parts}")
+            raise NotContained(f"lambda {lam} does not fit inside nu {nu}")
         rank_bound = max(1, len(nu)) if rank_bound is None else index(rank_bound)
         if rank_bound < max(1, len(nu)):
             raise RankTooSmall(
@@ -117,21 +118,16 @@ def _landings(letters: Iterable[int], inst: LRInstance) -> list[Cell] | None:
     return the cell each box lands in; None if a row would overtake the row
     above it or the shape reached is not nu."""
     nu = inst.nu.parts
-    # rows[v] is the current length of row v; rows[0] never binds
-    rows = _row_lengths(inst.nu.size + 1, inst.lam, len(nu))
+    depth = len(nu)
+    # rows[v] is the current length of row v; rows[0], nu's first part, caps row 1
+    rows = _row_lengths(nu[0] if nu else 0, inst.lam, depth)
     landed = []
     for v in letters:
-        if v > len(nu) or rows[v] >= rows[v - 1]:
+        if v > depth or rows[v] >= rows[v - 1]:
             return None
         rows[v] += 1
         landed.append((v, rows[v]))
     return landed if rows[1:] == [*nu] else None
-
-
-def _in_lr_crystal(tab: Tableau, inst: LRInstance) -> bool:
-    """tab is over mu and its row reading adds onto lam, landing on nu."""
-    return tab.shape == inst.mu and _landings(
-        inst._row_readings[0]._gather(sum(tab.rows, ())), inst) is not None
 
 
 def phi(pic: Picture, inst: LRInstance) -> Tableau:
@@ -147,33 +143,27 @@ def _phi(pic: Picture, inst: LRInstance) -> tuple[int, ...]:
     return tuple([target[0] for _, target in pic.pairs])
 
 
-def _psi_pairs(entries: tuple[int, ...], inst: LRInstance) -> tuple[tuple[Cell, Cell], ...]:
-    """Each cell of mu with its psi target: the row reading meets each level set (a
-    horizontal strip) in p_function's order, so a running column per entry up to
-    len(lam) + |mu|, started at lam's row, gives it.  Pairs come sorted by source."""
+def _psi(entries: tuple[int, ...], inst: LRInstance) -> Picture | None:
+    """psi with no check, on mu's row-major entries: each cell of mu goes to the
+    cell where its letter lands as the row reading adds onto lam, pairs sorted
+    by source; None if the reading does not land on nu."""
     reading = inst._row_readings[0]
-    columns = _row_lengths(0, inst.lam, len(inst.lam) + len(entries))
-    targets = []
-    for value in reading._gather(entries):
-        columns[value] += 1
-        targets.append((value, columns[value]))
-    return tuple(zip(reading._key, [targets[t] for t in reading._key_positions]))
-
-
-def _psi(entries: tuple[int, ...], inst: LRInstance) -> Picture:
-    """psi with no check, for mu's entries of a filling in the filtered crystal."""
-    return Picture._unchecked(_psi_pairs(entries, inst))
+    landed = _landings(reading._gather(entries), inst)
+    return None if landed is None else Picture._unchecked(
+        tuple(zip(reading._key, map(landed.__getitem__, reading._key_positions))))
 
 
 def psi(tab: Tableau, inst: LRInstance) -> Picture:
     """Turn a filtered-crystal tableau into a picture.
 
-    Each cell goes to the row named by its entry, in the column just past
-    lam shifted by the entry's position from the right among its equals.
+    Each cell goes to the cell where its letter lands when the row reading
+    is added to lam; a tableau of another shape, or one whose reading does
+    not land on nu, is not in the filtered crystal.
     """
-    if not _in_lr_crystal(tab, inst):
+    pic = _psi(sum(tab.rows, ()), inst) if tab.shape == inst.mu else None
+    if pic is None:
         raise NotLRCrystal("the tableau is not in the filtered crystal for this instance")
-    return _psi(sum(tab.rows, ()), inst)
+    return pic
 
 
 class BijectionReport(NamedTuple):
@@ -242,22 +232,17 @@ def verify_bijection(inst: LRInstance) -> BijectionReport:
     return BijectionReport(inst, len(pics), len(fillings), lattice, status, counterexample)
 
 
-def _sends_reading_to_landings(tab: Tableau, mapping: dict, inst: LRInstance) -> bool:
-    """mapping sends each cell of mu's row reading to the cell where the box of
-    tab's letter there lands when the reading is added to lam."""
-    reading = inst._row_readings[0]
-    return ([mapping[c] for c in reading.cells]
-            == _landings(reading._gather(sum(tab.rows, ())), inst))
-
-
 def lemma_add_check(pic: Picture, inst: LRInstance) -> bool:
     """The picture sends each cell to where the letter phi puts there lands."""
-    return _sends_reading_to_landings(phi(pic, inst), pic.mapping, inst)
+    return _psi(sum(phi(pic, inst).rows, ()), inst) == pic
 
 
 def lemma_destination_check(tab: Tableau, inst: LRInstance) -> bool:
-    """psi sends each cell to where the letter read there lands."""
-    return _sends_reading_to_landings(tab, psi(tab, inst).mapping, inst)
+    """psi sends each cell with entry v to row v, at column lam_v plus the
+    cell's position from the right among the entries v."""
+    return psi(tab, inst).mapping == {
+        (i, j): (v, inst.lam.part(v) + p_function(tab, (i, j)))
+        for i, row in enumerate(tab.rows, start=1) for j, v in enumerate(row, start=1)}
 
 
 def decompose_tensor(lam: Partition, mu: Partition, rank_bound: int,
@@ -271,8 +256,8 @@ def decompose_tensor(lam: Partition, mu: Partition, rank_bound: int,
     shape is lam plus its content, so fillings are counted by content.
     """
     if len(lam) > rank_bound - 1 or len(mu) > rank_bound - 1:
-        raise RankTooSmall(
-            f"input shapes must have fewer than {rank_bound} rows")
+        raise RankTooSmall(f"rank bound {rank_bound} must exceed the rows of both shapes: "
+                           f"lambda has {len(lam)}, mu has {len(mu)}")
     # an entry v past the rows of lam needs rows len(lam) + 1 .. v - 1 opened by
     # earlier boxes, so no entry exceeds len(lam) + |mu|, whatever rank_bound is
     bound = min(rank_bound, len(lam) + mu.size)
@@ -395,6 +380,8 @@ def conjecture_experiment(inst: LRInstance, codomain_order: TotalOrder,
     whether every picture is hit.  An image is such a picture exactly when
     enumerate_pictures, which returns every picture of the pair, lists it:
     both sort their pairs by source, so equal pairings are equal Pictures.
+    A filling whose row reading does not land on nu has the image None,
+    which no pair lists.
     """
     fillings = _fillings(inst, domain_order)
     pics = set(enumerate_pictures(inst.mu, inst.skew_shape,

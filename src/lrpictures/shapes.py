@@ -82,6 +82,10 @@ class Partition(Value):
     def __iter__(self) -> Iterator[int]:
         return iter(self.parts)
 
+    def __str__(self) -> str:
+        """The parts as the CLI reads them: "3,1,1", and "-" for the empty shape."""
+        return ",".join(map(str, self.parts)) or "-"
+
     @property
     def size(self) -> int:
         return sum(self.parts)
@@ -117,7 +121,7 @@ class SkewShape(Value):
 
     def __init__(self, outer: Partition, inner: Partition) -> None:
         if not outer.contains(inner):
-            raise NotContained(f"{inner.parts} does not fit inside {outer.parts}")
+            raise NotContained(f"inner shape {inner} does not fit inside outer shape {outer}")
         object.__setattr__(self, "outer", outer)
         object.__setattr__(self, "inner", inner)
 

@@ -84,3 +84,22 @@ MALFORMED_PARTITIONS = [
                          ids=[" ".join(argv) for argv, _ in MALFORMED_PARTITIONS])
 def test_a_malformed_partition_is_named_by_its_option(capsys, argv, err):
     assert run(capsys, *argv) == (2, "", err)
+
+
+# shapes in messages print as the options take them, never as Python tuples
+SHAPE_ERRORS = [
+    (["count", "--lambda", "2", "--mu", "1", "--nu", "1,1,1"],
+     "error: lambda 2 does not fit inside nu 1,1,1\n"),
+    (["verify", "--lambda", "3,1", "--mu", "1", "--nu", "2,2,1"],
+     "error: lambda 3,1 does not fit inside nu 2,2,1\n"),
+    (["decompose", "--lambda", "1", "--mu", "1", "--rank", "0"],
+     "error: rank bound 0 must exceed the rows of both shapes: lambda has 1, mu has 1\n"),
+    (["decompose", "--lambda", "-", "--mu", "2,1", "--rank", "2"],
+     "error: rank bound 2 must exceed the rows of both shapes: lambda has 0, mu has 2\n"),
+]
+
+
+@pytest.mark.parametrize("argv, err", SHAPE_ERRORS,
+                         ids=[" ".join(argv) for argv, _ in SHAPE_ERRORS])
+def test_a_shape_error_names_the_shapes_as_the_options_do(capsys, argv, err):
+    assert run(capsys, *argv) == (2, "", err)

@@ -118,8 +118,8 @@ def test_conjecture_text_matches_rows_rendered_through_the_reference(capsys):
         domain = _reference_label(row.domain_order, cells(inst.mu))
         yn = {True: "yes", False: "no"}
         lines.append(
-            f"lambda={cli._fmt_parts(inst.lam)} mu={cli._fmt_parts(inst.mu)} "
-            f"nu={cli._fmt_parts(inst.nu)} codomain={codomain} domain={domain} "
+            f"lambda={inst.lam} mu={inst.mu} "
+            f"nu={inst.nu} codomain={codomain} domain={domain} "
             f"crystals={row.crystals} pictures={row.pictures} "
             f"well_defined={yn[row.well_defined]} injective={yn[row.injective]} "
             f"surjective={yn[row.surjective]} "

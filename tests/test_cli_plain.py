@@ -108,7 +108,7 @@ VERBS = tuple(cli._VERBS)
 FLAGS = tuple(cli._OPTIONS)
 _INTS = st.one_of(st.integers(-2, 5).map(str), st.sampled_from(["x", "", "1.5", "-0", " 3"]))
 _PARTS = st.one_of(
-    st.integers(0, 5).flatmap(lambda n: st.sampled_from(partitions_of(n))).map(cli._fmt_parts),
+    st.integers(0, 5).flatmap(lambda n: st.sampled_from(partitions_of(n))).map(str),
     st.sampled_from(["0", "", "3,x", "1,2", "3,,1", "-1", "-3,1", "2,-1", " 2,1"]))
 VALUES = {
     "lambda": _PARTS, "mu": _PARTS, "nu": _PARTS, "rank": _INTS, "limit": _INTS,

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from lrpictures import cli, lr
 from lrpictures.lr import (BijectionReport, ConjectureReport, LRInstance, NotAPicture,
-                           NotLRCrystal, RankTooSmall, _in_lr_crystal, _landings,
-                           _psi_pairs, conjecture_experiment, conjecture_sweep,
+                           NotLRCrystal, RankTooSmall, _landings, _psi,
+                           conjecture_experiment, conjecture_sweep,
                            decompose_tensor, instances_of_size, iter_instances,
                            lemma_add_check, lemma_destination_check,
                            lr_coefficient_all_methods, lr_coefficient_lattice,
@@ -20,8 +20,7 @@ from lrpictures.pictures import (OrderCellMismatch, OrderNotAdmissible, Picture,
 from lrpictures.shapes import (NotContained, Partition, add_sequence, cells, partitions_of,
                                subpartitions)
 from lrpictures.tableaux import (ColumnNotStrictlyIncreasing, RowNotWeaklyIncreasing,
-                                 Tableau, enumerate_ssyt, make_tableau, p_function,
-                                 reading_by_order)
+                                 Tableau, enumerate_ssyt, make_tableau, reading_by_order)
 
 
 def ref_instance():
@@ -132,6 +131,30 @@ def test_psi_rejects_outsiders():
         psi(wrong_shape, inst)
 
 
+def test_psi_rejects_an_entry_past_the_rows_of_nu():
+    # semistandard over mu, but the letter 5 names no row of nu = (4, 3, 2, 1)
+    past = make_tableau(Partition((3, 2)), ((1, 1, 1), (2, 5)))
+    with pytest.raises(NotLRCrystal):
+        psi(past, ref_instance())
+
+
+def test_psi_walks_each_tableau_once(monkeypatch):
+    walks = Counter()
+    real_landings = lr._landings
+
+    def counted(letters, inst):
+        walks[letters] += 1
+        return real_landings(letters, inst)
+    monkeypatch.setattr(lr, "_landings", counted)
+    inst = ref_instance()
+    assert psi(REF_T, inst) == REF_PIC_FOR_T
+    assert psi(REF_T2, inst) == REF_PIC_FOR_T2
+    with pytest.raises(NotLRCrystal):
+        psi(make_tableau(Partition((3, 2)), ((1, 1, 1), (2, 2))), inst)
+    # one walk per tableau, each along its row reading
+    assert walks == {(2, 2, 1, 4, 3): 1, (4, 2, 1, 3, 2): 1, (1, 1, 1, 2, 2): 1}
+
+
 def test_maps_invert_each_other_on_small_instances():
     for inst in iter_instances(5):
         for pic in enumerate_pictures(inst.mu, inst.skew_shape):
@@ -181,7 +204,7 @@ def test_lemma_checks_on_the_reference_instance():
 
 def test_lemma_add_check_fails_when_phi_leaves_the_crystal(monkeypatch):
     stray = make_tableau(Partition((3, 2)), ((1, 1, 1), (2, 2)))
-    assert not _in_lr_crystal(stray, ref_instance())
+    assert _psi(sum(stray.rows, ()), ref_instance()) is None
     monkeypatch.setattr(lr, "phi", lambda pic, inst: stray)
     assert not lemma_add_check(REF_PIC_FOR_T, ref_instance())
     assert not lemma_add_check(REF_PIC_FOR_T2, ref_instance())
@@ -350,11 +373,12 @@ def reference_experiment(inst, codomain_order, domain_order):
     it tested membership in the pair's enumerated pictures."""
     tabs = lr_filter(inst, domain_order)
     pics = set(enumerate_pictures(inst.mu, inst.skew_shape, domain_order, codomain_order))
-    images = [Picture(_psi_pairs(sum(tab.rows, ()), inst)) for tab in tabs]
+    images = [_psi(sum(tab.rows, ()), inst) for tab in tabs]
     image_set = set(images)
     return ConjectureReport(
         inst, codomain_order, domain_order, crystals=len(tabs), pictures=len(pics),
-        well_defined=all(is_picture(p, domain_order, codomain_order) for p in images),
+        well_defined=all(p is not None and is_picture(Picture(p.pairs), domain_order,
+                                                      codomain_order) for p in images),
         injective=len(image_set) == len(images), surjective=pics <= image_set)
 
 
@@ -373,6 +397,20 @@ def test_a_psi_image_missing_from_the_pictures_is_not_well_defined(monkeypatch):
     row = conjecture_experiment(inst, TotalOrder.jay(inst.skew_shape.cells()),
                                 TotalOrder.jay(cells(inst.mu)))
     assert (row.crystals, row.pictures) == (2, 1)
+    assert row.injective and row.surjective
+    assert not row.well_defined and not row.holds
+
+
+def test_a_filling_that_does_not_land_is_an_image_outside_the_pictures(monkeypatch):
+    inst = ref_instance()
+    # semistandard over mu, but its row reading lands on (6, 3, 1), not on nu
+    stray = make_tableau(Partition((3, 2)), ((1, 1, 1), (2, 2)))
+    real_fillings = lr._fillings
+    monkeypatch.setattr(lr, "_fillings",
+                        lambda inst, order=None: real_fillings(inst, order) + [entries(stray)])
+    row = conjecture_experiment(inst, TotalOrder.jay(inst.skew_shape.cells()),
+                                TotalOrder.jay(cells(inst.mu)))
+    assert (row.crystals, row.pictures) == (3, 2)
     assert row.injective and row.surjective
     assert not row.well_defined and not row.holds
 
@@ -414,8 +452,7 @@ def test_a_constant_psi_fails_on_the_first_picture_it_misses(monkeypatch):
 
 def test_a_psi_that_ignores_lam_fails_on_the_first_picture(monkeypatch):
     def blind(filling, inst):
-        return Picture._unchecked(_psi_pairs(filling, LRInstance(Partition(()), inst.mu,
-                                                                 inst.mu)))
+        return _psi(filling, LRInstance(Partition(()), inst.mu, inst.mu))
     assert injected_report(monkeypatch, _psi=blind) == {
         "kind": "psi_phi_not_identity", "picture": REF_PIC_FOR_T2.to_json()}
 
@@ -641,19 +678,11 @@ def test_a_three_row_pieri_instance_with_150_cells():
     assert (report.pictures, report.crystals, report.lattice) == (1, 1, 1)
 
 
-def reference_psi_pairs(tab, lam):
-    """psi's pairs by definition: each cell goes to row value, column
-    lam's row plus p_function of the cell."""
-    return tuple(((i, j), (value, lam.part(value) + p_function(tab, (i, j))))
-                 for i, row in enumerate(tab.rows, start=1)
-                 for j, value in enumerate(row, start=1))
-
-
-def test_row_lengths_and_one_scan_match_reading_and_p_function():
+def test_psi_has_an_image_exactly_when_the_reading_lands_on_nu():
     """Every instance with |nu| <= 7 and every SSYT of mu with entries up to
-    rank_bound + 1: _in_lr_crystal agrees with reading and adding in full,
-    and, wherever psi could meet the tableau (entries up to rank_bound),
-    _psi_pairs agrees with p_function."""
+    rank_bound + 1: _psi has an image exactly when reading and adding in
+    full lands on nu.  On the crystal, test_unchecked checks its images
+    against p_function."""
     groups = defaultdict(list)
     for inst in iter_instances(7):
         groups[inst.mu, inst.lam].append(inst)
@@ -665,6 +694,4 @@ def test_row_lengths_and_one_scan_match_reading_and_p_function():
             top = max(map(max, tab.rows), default=0)
             for inst in insts:
                 if top <= inst.rank_bound + 1:
-                    assert _in_lr_crystal(tab, inst) == (final == inst.nu)
-            if top <= rank:
-                assert _psi_pairs(sum(tab.rows, ()), insts[0]) == reference_psi_pairs(tab, lam)
+                    assert (_psi(sum(tab.rows, ()), inst) is None) == (final != inst.nu)

@@ -73,8 +73,13 @@ def test_cells_are_row_major():
 
 
 def test_skew_shape_requires_containment():
-    with pytest.raises(NotContained):
+    with pytest.raises(NotContained, match="^inner shape 2 does not fit inside outer shape 1,1$"):
         skew(Partition((1, 1)), Partition((2,)))
+
+
+@pytest.mark.parametrize("parts, text", [((), "-"), ((2,), "2"), ((3, 1, 1), "3,1,1")])
+def test_a_partition_prints_as_the_cli_reads_it(parts, text):
+    assert str(Partition(parts)) == text
 
 
 def test_skew_cells_exclude_the_inner_shape():
