@@ -66,20 +66,13 @@ class LRInstance(Value):
             raise SizeMismatch(f"sizes must add up: {lam.size} + {mu.size} != {nu.size}")
         if not nu.contains(lam):
             raise NotContained(f"lambda {lam} does not fit inside nu {nu}")
-        rank_bound = max(1, len(nu)) if rank_bound is None else index(rank_bound)
-        if rank_bound < max(1, len(nu)):
-            raise RankTooSmall(
-                f"rank bound {rank_bound} below the {len(nu)} rows of the target")
+        least = max(1, len(nu))
+        rank_bound = least if rank_bound is None else index(rank_bound)
+        if rank_bound < least:
+            raise RankTooSmall(f"rank bound {rank_bound} below the {len(nu)} rows of the target"
+                               if nu else f"rank bound {rank_bound} below 1, the least rank bound")
         for name, value in zip(self._fields, (lam, mu, nu, rank_bound)):
             object.__setattr__(self, name, value)
-
-    def __eq__(self, other: object) -> bool:
-        return ((self.lam, self.mu, self.nu, self.rank_bound)
-                == (other.lam, other.mu, other.nu, other.rank_bound)
-                if other.__class__ is self.__class__ else NotImplemented)
-
-    def __hash__(self) -> int:
-        return hash((self.lam, self.mu, self.nu, self.rank_bound))
 
     @cached_property
     def skew_shape(self) -> SkewShape:

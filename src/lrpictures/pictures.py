@@ -81,6 +81,7 @@ class TotalOrder(Value):
             raise ValueError("listing repeats a cell")
         object.__setattr__(self, "cells", listing)
 
+    # Value's pair on the field directly: cli._order_tags compares each listed order twice
     def __eq__(self, other: object) -> bool:
         return self.cells == other.cells if other.__class__ is self.__class__ else NotImplemented
 
@@ -350,6 +351,7 @@ class Picture(Value):
         object.__setattr__(pic, "pairs", pairs)
         return pic
 
+    # Value's pair on the field directly: round trips and order-pair sets compare pictures
     def __eq__(self, other: object) -> bool:
         return self.pairs == other.pairs if other.__class__ is self.__class__ else NotImplemented
 

@@ -11,7 +11,7 @@ lives.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import index
+from operator import index, le
 from typing import Iterable, Iterator, NamedTuple
 
 Cell = tuple[int, int]
@@ -31,9 +31,11 @@ class NotContained(ValueError):
 
 class Value:
     """Base of the validated value types.  A subclass names its fields in
-    _fields, sets them once in __init__ past __setattr__, and defines __eq__
-    (same class only) and __hash__ (that of the tuple of field values);
-    copies and pickles are rebuilt through __init__."""
+    _fields and sets them once in __init__ past __setattr__.  The base gives
+    it the rest: equality with a value of the same class only (NotImplemented
+    otherwise), the hash of the tuple of field values, the repr
+    Name(field=value, ...), refused assignment and deletion, and copies and
+    pickles rebuilt through __init__."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -48,8 +50,18 @@ class Value:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        return (self._values() == other._values() if other.__class__ is self.__class__
+                else NotImplemented)
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
     def __reduce__(self) -> tuple[type, tuple]:
-        return type(self), tuple(getattr(self, name) for name in self._fields)
+        return type(self), self._values()
 
 
 class Partition(Value):
@@ -70,6 +82,7 @@ class Partition(Value):
             parts = parts[:parts.index(0)]
         object.__setattr__(self, "parts", parts)
 
+    # Value's pair on the field directly: partitions key _row_reading and enumerate_ssyt
     def __eq__(self, other: object) -> bool:
         return self.parts == other.parts if other.__class__ is self.__class__ else NotImplemented
 
@@ -98,15 +111,13 @@ class Partition(Value):
 
     def contains(self, other: Partition) -> bool:
         """Cellwise containment: every row of other fits in the same row here."""
-        return all(p <= self.part(i) for i, p in enumerate(other.parts, start=1))
+        return len(other.parts) <= len(self.parts) and all(map(le, other.parts, self.parts))
 
     def to_json(self) -> list[int]:
         return list(self.parts)
 
 
-def make_partition(parts: Iterable[int]) -> Partition:
-    """Validate and canonicalize a part sequence."""
-    return Partition(tuple(parts))
+make_partition = Partition
 
 
 def cells(shape: Partition) -> tuple[Cell, ...]:
@@ -125,6 +136,7 @@ class SkewShape(Value):
         object.__setattr__(self, "outer", outer)
         object.__setattr__(self, "inner", inner)
 
+    # Value's pair on the fields directly: skew shapes key _row_reading
     def __eq__(self, other: object) -> bool:
         return ((self.outer, self.inner) == (other.outer, other.inner)
                 if other.__class__ is self.__class__ else NotImplemented)
@@ -153,9 +165,7 @@ def _skew_cells(outer: tuple[int, ...], inner: tuple[int, ...]) -> tuple[Cell, .
                  for j in range(q + 1, p + 1))
 
 
-def skew(outer: Partition, inner: Partition) -> SkewShape:
-    """The skew shape outer minus inner; inner must fit inside outer."""
-    return SkewShape(outer, inner)
+skew = SkewShape
 
 
 class BoxAddition(NamedTuple):

@@ -6,10 +6,10 @@ holding k from the rightmost column leftward.  A reading lists the
 entries along an admissible order on the cells (reading_by_order); the
 row and column readings are its two named cases.
 
-Tableau(...), make_tableau and Word(...) check and canonicalise their
-input, so a non-integral entry or coordinate raises TypeError.  Only
-_tableaux_of skips that check, through Tableau._unchecked, and only for
-the fillings of _pruned_fillings, semistandard by construction.
+Tableau(...), with its alias make_tableau, and Word(...) check and
+canonicalise their input, so a non-integral entry or coordinate raises
+TypeError.  Only _tableaux_of skips that check, through Tableau._unchecked,
+and only for the fillings of _pruned_fillings, semistandard by construction.
 enumerate_ssyt keeps every tableau of each (shape, bound) it is asked for
 as long as the process lives: 4000 of them after verify --mu 1 --rank 4000.
 """
@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate
 from operator import index, itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 from .pictures import OrderCellMismatch, OrderNotAdmissible, TotalOrder, _row_reading
 from .shapes import Cell, Partition, Value, cells
@@ -80,13 +80,6 @@ class Tableau(Value):
         _set_rows(tab, rows)
         return tab
 
-    def __eq__(self, other: object) -> bool:
-        return ((self.shape, self.rows) == (other.shape, other.rows)
-                if other.__class__ is self.__class__ else NotImplemented)
-
-    def __hash__(self) -> int:
-        return hash((self.shape, self.rows))
-
     def entry(self, cell: Cell) -> int:
         i, j = cell
         if not (1 <= i <= len(self.rows) and 1 <= j <= len(self.rows[i - 1])):
@@ -124,13 +117,6 @@ class Word(Value):
         object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "source_cells", sources)
 
-    def __eq__(self, other: object) -> bool:
-        return ((self.letters, self.source_cells) == (other.letters, other.source_cells)
-                if other.__class__ is self.__class__ else NotImplemented)
-
-    def __hash__(self) -> int:
-        return hash((self.letters, self.source_cells))
-
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -139,9 +125,7 @@ class Word(Value):
                 "cells": [list(c) for c in self.source_cells]}
 
 
-def make_tableau(shape: Partition, rows: Iterable[Sequence[int]]) -> Tableau:
-    """Validate a filling against the shape and the row/column rules."""
-    return Tableau(shape, tuple(tuple(row) for row in rows))
+make_tableau = Tableau
 
 
 def _row_lengths(top: int, shape: Partition, rank_bound: int) -> list[int]:

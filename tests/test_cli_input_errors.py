@@ -103,3 +103,10 @@ SHAPE_ERRORS = [
                          ids=[" ".join(argv) for argv, _ in SHAPE_ERRORS])
 def test_a_shape_error_names_the_shapes_as_the_options_do(capsys, argv, err):
     assert run(capsys, *argv) == (2, "", err)
+
+
+def test_the_rank_floor_of_an_empty_target_names_the_bound_it_enforces(capsys):
+    code, out, err = run(capsys, "count", "--lambda", "-", "--mu", "-", "--nu", "-",
+                         "--rank", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: rank bound 0 below 1, the least rank bound\n"

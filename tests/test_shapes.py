@@ -67,6 +67,13 @@ def test_containment():
     assert not Partition((3, 2)).contains(Partition((4,)))
 
 
+def test_containment_is_the_cellwise_definition():
+    small = [p for total in range(7) for p in partitions_of(total)]
+    for outer in small:
+        for inner in small:
+            assert outer.contains(inner) == (set(cells(inner)) <= set(cells(outer)))
+
+
 def test_cells_are_row_major():
     assert cells(Partition((2, 1))) == ((1, 1), (1, 2), (2, 1))
     assert cells(Partition(())) == ()

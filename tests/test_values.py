@@ -19,9 +19,11 @@ from pathlib import Path
 import pytest
 
 from lrpictures.lr import (BijectionReport, ConjectureReport, LRInstance, SizeSummary,
-                           SweepReport)
-from lrpictures.pictures import Picture, TotalOrder
-from lrpictures.shapes import AdditionResult, AdditionStep, Partition, SkewShape
+                           SweepReport, iter_instances)
+from lrpictures.pictures import (Picture, TotalOrder, enumerate_admissible_orders,
+                                 enumerate_pictures)
+from lrpictures.shapes import (AdditionResult, AdditionStep, Partition, SkewShape, Value,
+                               partitions_of, subpartitions)
 from lrpictures.tableaux import Tableau, Word
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -151,6 +153,74 @@ def test_cached_properties_work_after_a_round_trip(duplicate):
     assert order.positions == {(1, 2): 0, (1, 1): 1, (2, 1): 2}
     assert pic.apply((1, 2)) == (1, 3)
     assert inst.skew_shape == SkewShape(NU, LAM)
+
+
+# the types whose equality hot paths run keep a direct-field copy of Value's pair
+KEPT = (Partition, SkewShape, TotalOrder, Picture)
+
+
+def library_values():
+    """Values as the library makes them: every partition with at most 5 cells,
+    every skew shape inside one, every admissible order on those cells, and
+    every picture with |nu| <= 6."""
+    partitions = [p for total in range(6) for p in partitions_of(total)]
+    shapes = [SkewShape(outer, inner) for outer in partitions for inner in subpartitions(outer)]
+    orders = [order for cell_set in {shape.cells() for shape in shapes}
+              for order in enumerate_admissible_orders(cell_set)]
+    pictures = [pic for inst in iter_instances(6)
+                for pic in enumerate_pictures(inst.mu, inst.skew_shape)]
+    return partitions + shapes + orders + pictures
+
+
+def test_the_kept_copies_agree_with_the_base():
+    for cls in (Tableau, Word, LRInstance):
+        assert cls.__eq__ is Value.__eq__ and cls.__hash__ is Value.__hash__
+    for cls in KEPT:
+        assert "__eq__" in vars(cls) and "__hash__" in vars(cls)
+    pool = library_values()
+    assert {type(value) for value in pool} == set(KEPT)
+    # twins are equal values that are other objects; a subclass's values are another class
+    subclasses = {cls: type("Sub", (cls,), {}) for cls in KEPT}
+    others = (pool + [copy.copy(value) for value in pool]
+              + [subclasses[type(value)](*value._values()) for value in pool[::7]])
+    outcomes = set()
+    for a in pool:
+        assert hash(a) == Value.__hash__(a)
+        for b in others:
+            kept = a.__eq__(b)
+            assert kept == Value.__eq__(a, b)
+            outcomes.add(kept if kept is NotImplemented else bool(kept))
+    assert outcomes == {True, False, NotImplemented}
+
+
+class Pair(Value):
+    """A subclass that declares only _fields and __init__."""
+
+    _fields = ("left", "right")
+
+    def __init__(self, left, right):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+
+
+def test_a_bare_subclass_gets_the_whole_contract():
+    pair = Pair(1, (2, 3))
+    assert pair == Pair(1, (2, 3)) and not pair != Pair(1, (2, 3))
+    assert pair != Pair(1, (2, 4)) and pair != Pair((2, 3), 1)
+    for other in ((1, (2, 3)), Partition((1,)), type("Sub", (Pair,), {})(1, (2, 3))):
+        assert pair.__eq__(other) is NotImplemented
+        assert pair != other
+    assert hash(pair) == hash((1, (2, 3)))
+    assert repr(pair) == "Pair(left=1, right=(2, 3))"
+    with pytest.raises(AttributeError):
+        pair.left = 2
+    with pytest.raises(AttributeError):
+        del pair.right
+    for duplicate in (copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))):
+        twin = duplicate(pair)
+        assert type(twin) is Pair
+        assert twin == pair and hash(twin) == hash(pair)
+        assert (twin.left, twin.right) == (1, (2, 3))
 
 
 def test_importing_the_package_and_cli_loads_no_dataclasses():
