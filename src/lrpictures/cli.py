@@ -8,8 +8,9 @@ is plain text by default and JSON with --format json; identical
 invocations produce byte-identical output.
 
 Exit status: 0 on success, 1 when a verification verb finds a failure,
-2 on usage or input errors, 141 (128 + SIGPIPE) when the reader closes
-the output early, as `lrpictures orders --mu 4,4,4,4 | head -1` does.
+2 on usage or input errors and when the process runs out of memory, 141
+(128 + SIGPIPE) when the reader closes the output early, as
+`lrpictures orders --mu 4,4,4,4 | head -1` does.
 
 A plain argv, the verb and then each option named in full once with its
 value, is read straight from the verb table (_parse_plain).  Everything
@@ -425,6 +426,9 @@ def main() -> None:
     except BrokenPipeError:  # the signal docs' recipe: devnull takes the last flush
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 141
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        code = 2
     sys.exit(code)
 
 

@@ -39,36 +39,27 @@ def _checked(word: Sequence[int], i: int, max_letter: int) -> tuple[int, ...]:
     return letters
 
 
-def _survivors(letters: tuple[int, ...], i: int) -> tuple[list[int], list[int]]:
-    """Positions of the uncancelled plus and minus signs, left to right.
-
-    A minus cancels the nearest unmatched plus to its left, so a stack of
-    plus positions implements the repeated cancellation in one pass.
-    """
-    plus: list[int] = []
-    minus: list[int] = []
-    for k, a in enumerate(letters):
-        if a == i:
-            plus.append(k)
-        elif a == i + 1:
-            if plus:
-                plus.pop()
-            else:
-                minus.append(k)
-    return plus, minus
-
-
-def _replaced(letters: tuple[int, ...], k: int, letter: int) -> tuple[int, ...] | None:
-    """The letters with position k set to letter, or None for k = -1."""
-    return letters[:k] + (letter,) + letters[k + 1:] if k >= 0 else None
-
-
 def _lower_and_raise(letters: tuple[int, ...], i: int
                      ) -> tuple[tuple[int, ...] | None, tuple[int, ...] | None]:
-    """Both operators' results on checked letters, from one signature scan."""
-    plus, minus = _survivors(letters, i)
-    return (_replaced(letters, plus[0] if plus else -1, i + 1),
-            _replaced(letters, minus[-1] if minus else -1, i))
+    """Both operators' results on checked letters, from one signature scan.
+
+    A minus cancels the nearest unmatched plus to its left, so a count of
+    unmatched pluses does the cancelling: the last plus met at count 0 is the
+    leftmost survivor when the count ends above 0, and every minus met at
+    count 0 survives, so the last such minus is the rightmost survivor."""
+    unmatched, plus, minus = 0, -1, -1
+    for k, a in enumerate(letters):
+        if a == i:
+            if not unmatched:
+                plus = k
+            unmatched += 1
+        elif a == i + 1:
+            if unmatched:
+                unmatched -= 1
+            else:
+                minus = k
+    return (letters[:plus] + (i + 1,) + letters[plus + 1:] if unmatched else None,
+            letters[:minus] + (i,) + letters[minus + 1:] if minus >= 0 else None)
 
 
 def lowering_operator(word: Sequence[int], i: int,
@@ -114,12 +105,12 @@ def verify_embedding(shape: Partition, max_entry: int,
         codes[int.from_bytes(encode(word), "big")] = word
     place = [1 << k * 8 * width for k in reversed(range(shape.size))]
     # the fast pass: the words in tableau order, each with one signature scan
-    # (letter a is a plus of index a and a minus of index a - 1; a count of
-    # unmatched pluses and the position of the lowest stand for the stack of
-    # _survivors) and one check loop over its letters.  Only letter i raises
-    # unmatched[i], and plus[i] is read only while unmatched[i] is set, so
-    # resetting unmatched[a] and minus[a - 1] for each letter a restores the
-    # arrays; minus[0] belongs to no operator and is never read
+    # (letter a is a plus of index a and a minus of index a - 1, so this is
+    # _lower_and_raise's count run for every index at once) and one check
+    # loop over its letters.  Only letter i raises unmatched[i], and plus[i]
+    # is read only while unmatched[i] is set, so resetting unmatched[a] and
+    # minus[a - 1] for each letter a restores the arrays; minus[0] belongs
+    # to no operator and is never read
     unmatched = [0] * (max_entry + 1)
     plus = [-1] * (max_entry + 1)
     minus = [-1] * (max_entry + 1)

@@ -298,3 +298,18 @@ def test_a_reader_that_closes_the_pipe_early_gets_no_traceback():
         code = proc.wait(timeout=60)
     assert first.startswith(b"0: (1,4) (1,3) (1,2) (1,1) (2,4)") and first.endswith(b"[jay]\n")
     assert (code, err) == (141, b"")
+
+
+def test_running_out_of_memory_exits_2_with_one_line():
+    # the staircase decompose lists 1,458,444 fillings, ~300 MB, before it counts
+    import resource
+    cap = 150 * 2**20
+    src = str(Path(lrpictures.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "lrpictures.cli", "decompose", "--lambda", "6,5,4,3,2,1",
+         "--mu", "6,5,4,3,2,1", "--rank", "12"],
+        capture_output=True, env=env, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert (done.returncode, done.stderr) == (2, b"error: out of memory\n")

@@ -83,6 +83,18 @@ def test_filter_accepts_any_admissible_order():
         assert set(lr_filter(inst, order)) == base
 
 
+def test_the_filtered_crystal_is_one_set_under_every_admissible_order():
+    # every admissible reading is a crystal embedding, so the order only
+    # changes the search order, never the set it finds
+    pairs = 0
+    for inst in iter_instances(8):
+        base = set(lr_filter(inst))
+        for order in enumerate_admissible_orders(cells(inst.mu)):
+            assert set(lr_filter(inst, order)) == base
+            pairs += 1
+    assert pairs == 7413
+
+
 def test_phi_on_the_reference_pictures():
     inst = ref_instance()
     assert phi(REF_PIC_FOR_T, inst) == REF_T

@@ -1,7 +1,7 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lrpictures import wordcrystal
@@ -115,6 +115,31 @@ def test_operators_change_exactly_one_letter(word, i):
     if lowered is not None:
         diffs = [(a, b) for a, b in zip(word, lowered) if a != b]
         assert diffs == [(i, i + 1)]
+
+
+@st.composite
+def long_words(draw):
+    """A letter bound past one byte, an index anywhere below it, and a word of
+    up to 40 letters in runs mostly near that index, so that unmatched pluses
+    pile up deep before the minuses cancel them."""
+    max_letter = draw(st.integers(min_value=2, max_value=400))
+    i = draw(st.integers(min_value=1, max_value=max_letter - 1))
+    near = st.integers(min_value=max(1, i - 1), max_value=min(max_letter, i + 2))
+    letters = st.one_of(near, near, st.integers(min_value=1, max_value=max_letter))
+    runs = draw(st.lists(st.tuples(letters, st.integers(min_value=1, max_value=12)),
+                         max_size=12))
+    return tuple(a for a, length in runs for _ in range(length))[:40], i, max_letter
+
+
+@settings(max_examples=300, deadline=None)
+@given(long_words())
+@example(((300,) * 20 + (301,) * 19, 300, 400))
+@example(((301,) * 3 + (300,) * 17 + (301,) * 9 + (300,) * 2 + (301,) * 11, 300, 400))
+@example(((300, 301) * 12 + (301, 299, 300, 302) * 4, 300, 400))
+def test_operators_match_repeated_cancellation_on_long_words(drawn):
+    word, i, max_letter = drawn
+    assert lowering_operator(word, i, max_letter) == _oracle_lower(word, i)
+    assert raising_operator(word, i, max_letter) == _oracle_raise(word, i)
 
 
 def test_reading_image_is_closed_for_small_shapes():
