@@ -12,6 +12,7 @@ both operators.
 
 from __future__ import annotations
 
+from operator import index
 from typing import NamedTuple, Sequence
 
 from .pictures import TotalOrder
@@ -31,12 +32,13 @@ def _check_letters(letters: tuple[int, ...], max_letter: int) -> None:
             raise ValueError(f"letter {a} outside 1..{max_letter}")
 
 
-def _checked(word: Sequence[int], i: int, max_letter: int) -> tuple[int, ...]:
+def _checked(word: Sequence[int], i: int, max_letter: int) -> tuple[tuple[int, ...], int]:
+    i, max_letter = index(i), index(max_letter)
     if not 1 <= i <= max_letter - 1:
         raise IndexOutOfRange(f"index {i} not in 1..{max_letter - 1}")
-    letters = tuple(word)
+    letters = tuple(map(index, word))
     _check_letters(letters, max_letter)
-    return letters
+    return letters, i
 
 
 def _lower_and_raise(letters: tuple[int, ...], i: int
@@ -65,13 +67,13 @@ def _lower_and_raise(letters: tuple[int, ...], i: int
 def lowering_operator(word: Sequence[int], i: int,
                       max_letter: int) -> tuple[int, ...] | None:
     """Turn the leftmost uncancelled letter i into i+1, or return None."""
-    return _lower_and_raise(_checked(word, i, max_letter), i)[0]
+    return _lower_and_raise(*_checked(word, i, max_letter))[0]
 
 
 def raising_operator(word: Sequence[int], i: int,
                      max_letter: int) -> tuple[int, ...] | None:
     """Turn the rightmost uncancelled letter i+1 into i, or return None."""
-    return _lower_and_raise(_checked(word, i, max_letter), i)[1]
+    return _lower_and_raise(*_checked(word, i, max_letter))[1]
 
 
 class EmbeddingReport(NamedTuple):
@@ -83,13 +85,11 @@ def verify_embedding(shape: Partition, max_entry: int,
                      order: TotalOrder) -> EmbeddingReport:
     """Check that reading along the order embeds the tableau set into words.
 
-    The image of the reading map must be closed under both operators:
-    applying either to an image word yields None or another image word.
-    The first violation is returned as the counterexample, trying words
-    in sorted order, then indices, then lowering before raising.  A word
-    with a letter outside 1..max_entry raises ValueError before any
-    operator runs.
-    """
+    The image of the reading map must be closed under both operators: either
+    one applied to an image word yields None or another image word.  The least
+    violation is the counterexample, words sorted, then indices, then lowering
+    before raising.  A letter outside 1..max_entry raises ValueError first."""
+    max_entry = index(max_entry)
     _check_reading_order(order, shape)
     gather = order._gather
     # each word as an integer, one big-endian digit of `width` bytes per letter:
@@ -104,16 +104,17 @@ def verify_embedding(shape: Partition, max_entry: int,
             _check_letters(word, max_entry)
         codes[int.from_bytes(encode(word), "big")] = word
     place = [1 << k * 8 * width for k in reversed(range(shape.size))]
-    # the fast pass: the words in tableau order, each with one signature scan
-    # (letter a is a plus of index a and a minus of index a - 1, so this is
-    # _lower_and_raise's count run for every index at once) and one check
-    # loop over its letters.  Only letter i raises unmatched[i], and plus[i]
-    # is read only while unmatched[i] is set, so resetting unmatched[a] and
-    # minus[a - 1] for each letter a restores the arrays; minus[0] belongs
-    # to no operator and is never read
+    # one pass over the words in tableau order, each with one signature scan (letter a
+    # is a plus of index a and a minus of index a - 1, so this is _lower_and_raise's
+    # count run for every index at once) and one check loop over its letters.  Only
+    # letter i raises unmatched[i], and plus[i] is read only while unmatched[i] is set,
+    # so resetting unmatched[a] and minus[a - 1] for each letter a, miss or not,
+    # restores the arrays; minus[0] belongs to no operator and is never read.  A miss
+    # is (word, index, rank, position), rank 0 lowering and 1 raising; the least is kept
     unmatched = [0] * (max_entry + 1)
     plus = [-1] * (max_entry + 1)
     minus = [-1] * (max_entry + 1)
+    least = None
     for code, word in codes.items():
         for k, a in enumerate(word):
             if unmatched[a - 1]:
@@ -126,25 +127,17 @@ def verify_embedding(shape: Partition, max_entry: int,
         for a in word:
             if unmatched[a]:
                 if a < max_entry and code + place[plus[a]] not in codes:
-                    return _first_counterexample(codes, max_entry)
+                    miss = word, a, 0, plus[a]
+                    least = min(least or miss, miss)
                 unmatched[a] = 0
             k = minus[a - 1]
             if k >= 0 and a > 1:
                 if code - place[k] not in codes:
-                    return _first_counterexample(codes, max_entry)
+                    miss = word, a - 1, 1, k
+                    least = min(least or miss, miss)
                 minus[a - 1] = -1
-    return EmbeddingReport(True, None)
-
-
-def _first_counterexample(codes: dict[int, tuple[int, ...]], max_entry: int) -> EmbeddingReport:
-    """verify_embedding's report from the image, each word's code mapped to
-    the word.  An index no letter of a word touches has no sign, so both
-    operators give None there."""
-    image = set(codes.values())
-    for word in sorted(image):
-        for i in sorted({i for a in word for i in (a - 1, a) if 1 <= i < max_entry}):
-            for name, result in zip(("lowering", "raising"), _lower_and_raise(word, i)):
-                if result is not None and result not in image:
-                    return EmbeddingReport(False, {"word": list(word), "operator": name,
-                                                   "index": i, "result": list(result)})
-    return EmbeddingReport(True, None)
+    if least is None:
+        return EmbeddingReport(True, None)
+    word, i, rank, k = least
+    return EmbeddingReport(False, {"word": list(word), "operator": ("lowering", "raising")[rank],
+                                   "index": i, "result": [*word[:k], i + 1 - rank, *word[k + 1:]]})

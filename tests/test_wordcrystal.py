@@ -86,6 +86,17 @@ def test_index_bounds():
         raising_operator((1,), 3, 3)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: lowering_operator((1,), 1.5, 3),
+    lambda: raising_operator((2.5, 2), 1, 3),
+    lambda: lowering_operator((1,), 1, 3.0),
+    lambda: verify_embedding(Partition((2,)), 2.5, TotalOrder.jay(cells(Partition((2,))))),
+], ids=["index", "letter", "bound", "max_entry"])
+def test_non_integral_letters_index_and_bound_are_rejected(call):
+    with pytest.raises(TypeError):
+        call()
+
+
 def test_letters_outside_bound_are_rejected():
     with pytest.raises(ValueError):
         lowering_operator((0,), 1, 3)
@@ -216,12 +227,9 @@ def test_dropped_tableaux_give_the_reference_counterexample(monkeypatch, shape, 
         assert tuple(report) == reference_embedding(shape, 3, order)
 
 
-# the exact scan sorts every word and allocates per word; a closed image must
-# pass the fast pass alone, so no slip in its resets falls back unseen
-def test_closed_images_never_reach_the_exact_scan(monkeypatch):
-    def exact_scan(*args):
-        raise AssertionError("fell back on a closed image")
-    monkeypatch.setattr(wordcrystal, "_first_counterexample", exact_scan)
+# a slip in the resets after each letter would leave a stale plus or minus
+# behind and report a miss on a closed image
+def test_admissible_readings_are_closed_up_to_five_cells_and_at_bound_300():
     for size in range(6):
         for shape in partitions_of(size):
             for order in enumerate_admissible_orders(cells(shape)):
