@@ -21,8 +21,8 @@ from .tableaux import (CellOutsideShape, ColumnNotStrictlyIncreasing,
                        Tableau, Word, enumerate_ssyt, far_eastern_reading,
                        level_set, make_tableau, middle_eastern_reading, p_function,
                        reading_by_order, weight)
-from .wordcrystal import (EmbeddingReport, IndexOutOfRange, lowering_operator,
-                          raising_operator, verify_embedding)
+from .wordcrystal import (EmbeddingReport, IndexOutOfRange, TooManyTableaux,
+                          lowering_operator, raising_operator, verify_embedding)
 from .lr import (BijectionReport, ConjectureReport, CountTriple, LRInstance,
                  NotAPicture, NotLRCrystal, RankTooSmall, SizeSummary, SweepReport,
                  conjecture_experiment, conjecture_rows, conjecture_sweep, decompose_tensor,
@@ -39,7 +39,7 @@ __all__ = [
     "NotWeaklyDecreasing", "OrderCellMismatch", "OrderNotAdmissible", "Partition",
     "Picture", "RankTooSmall", "RowNotWeaklyIncreasing", "ShapeMismatch",
     "SizeMismatch", "SizeSummary", "SkewShape", "SweepReport", "Tableau",
-    "TotalOrder", "Word", "add_box", "add_sequence", "cells",
+    "TooManyTableaux", "TotalOrder", "Word", "add_box", "add_sequence", "cells",
     "conjecture_experiment", "conjecture_rows", "conjecture_sweep", "decompose_tensor",
     "enumerate_admissible_orders", "enumerate_pictures", "enumerate_ssyt",
     "far_eastern_reading", "instances_of_size", "is_admissible_order",

@@ -24,14 +24,14 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import index
 from typing import Iterable, Iterator, NamedTuple
 
 from .pictures import (Picture, SizeMismatch, TotalOrder, _row_reading,
                        enumerate_admissible_orders, enumerate_pictures, is_picture)
-from .shapes import (Cell, NotContained, Partition, SkewShape, Value, cells, partitions_of,
-                     subpartitions)
+from .shapes import (Cell, NotContained, Partition, SkewShape, Value, cached_attribute, cells,
+                     partitions_of, subpartitions)
 from .tableaux import (Tableau, _pruned_fillings, _row_cutter, _row_lengths, _tableaux_of,
                        p_function)
 # not used here; kept as names in lr that the perfbench tracer test patches
@@ -74,11 +74,11 @@ class LRInstance(Value):
         for name, value in zip(self._fields, (lam, mu, nu, rank_bound)):
             object.__setattr__(self, name, value)
 
-    @cached_property
+    @cached_attribute
     def skew_shape(self) -> SkewShape:
-        return SkewShape(self.nu, self.lam)
+        return SkewShape._unchecked(self.nu, self.lam)  # __init__ checked that nu contains lam
 
-    @cached_property
+    @cached_attribute
     def _row_readings(self) -> tuple[TotalOrder, TotalOrder]:
         """The row readings of mu and of the skew shape, as _row_reading keeps them."""
         return _row_reading(self.mu), _row_reading(self.skew_shape)

@@ -10,26 +10,28 @@ which both is_admissible_order and the admissible-order listing read.  A
 picture is a bijection between two cell sets that is standard in both
 directions.
 
-TotalOrder(...) and Picture(...) canonicalise every coordinate with
-operator.index, so a non-integral one raises TypeError, and Picture
-sorts its pairs and rejects a repeated source or target.
+TotalOrder(...), Picture(...) and the order listing canonicalise every
+coordinate with operator.index, so a non-integral one raises TypeError, and
+Picture sorts its pairs and rejects a repeated source or target.  Row
+readings, listed orders and searched pictures are built via _unchecked.
 
 A TotalOrder keeps what the searches derive from it until it is freed: its
-sorted cells and each one's listing position, the picture search's tables,
-the filling steps and the reading gather.  Two caches here live as long as
-the process: _row_reading holds one row reading per partition and per skew
-shape, and _admissible_orders holds the whole listing of every cell set it
-is asked about, a search's result: 24,024 orders for the cells of 4,4,4,4.
+sorted cells and admissibility, set at the start on row readings and listed
+orders, each cell's listing position, the picture search's tables, the
+filling steps and the reading gather.  Two caches live as long as the
+process: _row_reading holds one row reading per partition and per skew
+shape, and _admissible_orders the whole listing of every cell set it is
+asked about, a search's result: 24,024 orders for the cells of 4,4,4,4.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import index, itemgetter
 from typing import Callable, Iterable, Mapping
 
-from .shapes import Cell, Partition, SkewShape, Value, cells
+from .shapes import Cell, Partition, SkewShape, Value, cached_attribute, cells
 
 
 class OrderCellMismatch(ValueError):
@@ -81,6 +83,15 @@ class TotalOrder(Value):
             raise ValueError("listing repeats a cell")
         object.__setattr__(self, "cells", listing)
 
+    @classmethod
+    def _unchecked(cls, listing: tuple[Cell, ...], key: tuple[Cell, ...]) -> TotalOrder:
+        """An order built without __init__'s checks: the caller guarantees that
+        listing is an admissible listing of distinct cells of two ints, and key
+        those cells sorted.  It starts with _key and admissible set."""
+        order = object.__new__(cls)
+        vars(order).update(cells=listing, _key=key, admissible=True)
+        return order
+
     # Value's pair on the field directly: cli._order_tags compares each listed order twice
     def __eq__(self, other: object) -> bool:
         return self.cells == other.cells if other.__class__ is self.__class__ else NotImplemented
@@ -98,39 +109,39 @@ class TotalOrder(Value):
         """The column-reading order on the given cells."""
         return cls(tuple(sorted(cell_set, key=_eff_key)))
 
-    @cached_property
+    @cached_attribute
     def positions(self) -> dict[Cell, int]:
         return {cell: k for k, cell in enumerate(self.cells)}
 
-    @cached_property
+    @cached_attribute
     def admissible(self) -> bool:
         return is_admissible_order(self)
 
-    @cached_property
+    @cached_attribute
     def _key(self) -> tuple[Cell, ...]:
         """The listed cells sorted, which for a shape is its row-major cell tuple."""
         return tuple(sorted(self.cells))
 
-    @cached_property
+    @cached_attribute
     def _key_positions(self) -> tuple[int, ...]:
         """The listing position of each cell of _key, in _key's order: the argsort."""
         return tuple(sorted(range(len(self.cells)), key=self.cells.__getitem__))
 
-    @cached_property
+    @cached_attribute
     def _domain_tables(self) -> tuple[tuple[tuple[int, int, int, int], ...],
                                       tuple[int, ...], tuple[int, ...]]:
         return _build_domain_tables(self.cells)
 
-    @cached_property
+    @cached_attribute
     def _codomain_tables(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...],
                                         tuple[int, ...], int]:
         return _build_codomain_tables(self.cells, self.positions)
 
-    @cached_property
+    @cached_attribute
     def _filling_steps(self) -> tuple[tuple[int, int, int, int], ...]:
         return _build_filling_steps(self.cells, self._key)
 
-    @cached_property
+    @cached_attribute
     def _gather(self) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
         """The entries along the listing, from the row-major entries of a
         tableau whose shape has exactly the listed cells."""
@@ -224,7 +235,8 @@ def _build_filling_steps(listing: tuple[Cell, ...], key: tuple[Cell, ...]
 def _row_reading(shape: Partition | SkewShape) -> TotalOrder:
     """The row reading of a partition's or a skew shape's cells, one order
     object per shape, so the searches build its tables once per shape."""
-    return TotalOrder.jay(shape.cells() if isinstance(shape, SkewShape) else cells(shape))
+    key = shape.cells() if isinstance(shape, SkewShape) else cells(shape)
+    return TotalOrder._unchecked(tuple(sorted(key, key=_jay_key)), key)
 
 
 def is_admissible_order(order: TotalOrder) -> bool:
@@ -243,7 +255,7 @@ def enumerate_admissible_orders(cell_set: Iterable[Cell],
     is_admissible_order; candidates are tried in row-major order at each
     step, which fixes the output order.  A limit truncates the output.
     """
-    key = tuple(sorted(set(cell_set)))
+    key = tuple(sorted({(index(r), index(c)) for r, c in set(cell_set)}))
     orders = _admissible_orders(key)
     return orders if limit is None else orders[:max(limit, 0)]
 
@@ -284,7 +296,7 @@ def _admissible_orders(todo: tuple[Cell, ...]) -> tuple[TotalOrder, ...]:
     levels = [iter(todo)]
     while levels:
         if len(listing) == len(todo):
-            out.append(TotalOrder(tuple(listing)))
+            out.append(TotalOrder._unchecked(tuple(listing), todo))
         for candidate in levels[-1]:
             if candidate not in placed and predecessors[candidate] <= placed:
                 listing.append(candidate)
@@ -358,11 +370,11 @@ class Picture(Value):
     def __hash__(self) -> int:
         return hash((self.pairs,))
 
-    @cached_property
+    @cached_attribute
     def mapping(self) -> dict[Cell, Cell]:
         return dict(self.pairs)
 
-    @cached_property
+    @cached_attribute
     def inverse(self) -> dict[Cell, Cell]:
         return {image: source for source, image in self.pairs}
 

@@ -10,11 +10,18 @@ lives.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import index, le
-from typing import Iterable, Iterator, NamedTuple
+from typing import Any, Iterable, Iterator, NamedTuple
 
 Cell = tuple[int, int]
+
+
+class cached_attribute(cached_property):
+    """cached_property without the RLock that Python 3.11 takes on every first read."""
+
+    def __get__(self, obj: Any, owner: type | None = None) -> Any:
+        return self if obj is None else obj.__dict__.setdefault(self.attrname, self.func(obj))
 
 
 class NotWeaklyDecreasing(ValueError):
@@ -135,6 +142,14 @@ class SkewShape(Value):
             raise NotContained(f"inner shape {inner} does not fit inside outer shape {outer}")
         object.__setattr__(self, "outer", outer)
         object.__setattr__(self, "inner", inner)
+
+    @classmethod
+    def _unchecked(cls, outer: Partition, inner: Partition) -> SkewShape:
+        """SkewShape(outer, inner) without the check: the caller knows outer contains inner."""
+        shape = object.__new__(cls)
+        object.__setattr__(shape, "outer", outer)
+        object.__setattr__(shape, "inner", inner)
+        return shape
 
     # Value's pair on the fields directly: skew shapes key _row_reading
     def __eq__(self, other: object) -> bool:

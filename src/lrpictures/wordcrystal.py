@@ -12,11 +12,12 @@ both operators.
 
 from __future__ import annotations
 
+from math import prod
 from operator import index
 from typing import NamedTuple, Sequence
 
 from .pictures import TotalOrder
-from .shapes import Partition
+from .shapes import Partition, cells
 from .tableaux import _check_reading_order, enumerate_ssyt
 # not used here; kept as wordcrystal.reading_by_order for the perfbench tracer test
 from .tableaux import reading_by_order  # noqa: F401
@@ -24,6 +25,11 @@ from .tableaux import reading_by_order  # noqa: F401
 
 class IndexOutOfRange(ValueError):
     """Operator index outside the valid range for the letter bound."""
+
+
+class TooManyTableaux(ValueError):
+    """More tableaux than verify_embedding collects: a million take about 0.5 GB."""
+    limit = 1_000_000
 
 
 def _check_letters(letters: tuple[int, ...], max_letter: int) -> None:
@@ -88,9 +94,15 @@ def verify_embedding(shape: Partition, max_entry: int,
     The image of the reading map must be closed under both operators: either
     one applied to an image word yields None or another image word.  The least
     violation is the counterexample, words sorted, then indices, then lowering
-    before raising.  A letter outside 1..max_entry raises ValueError first."""
+    before raising.  A letter outside 1..max_entry raises ValueError first, and so
+    does a shape with over TooManyTableaux.limit tableaux, by the hook-content formula."""
     max_entry = index(max_entry)
     _check_reading_order(order, shape)
+    count = prod(max_entry + j - i for i, j in cells(shape)) // prod(
+        shape.parts[i - 1] - j + sum(p >= j for p in shape.parts[i:]) + 1 for i, j in cells(shape))
+    if count > TooManyTableaux.limit:
+        raise TooManyTableaux(f"{count} tableaux of shape {shape} with entries at most "
+                              f"{max_entry}, past the limit of {TooManyTableaux.limit:,}")
     gather = order._gather
     # each word as an integer, one big-endian digit of `width` bytes per letter:
     # the codes sort as the words do, and an operator's result is one addition

@@ -313,3 +313,16 @@ def test_running_out_of_memory_exits_2_with_one_line():
         capture_output=True, env=env, timeout=120,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
     assert (done.returncode, done.stderr) == (2, b"error: out of memory\n")
+
+
+def test_an_embedding_past_the_tableau_limit_exits_2_with_one_line():
+    # 5,113,180,686,250 tableaux, which the check would otherwise collect without bound
+    src = str(Path(lrpictures.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "lrpictures.cli", "verify", "--mu", "3,3", "--rank", "300"],
+        capture_output=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr == (b"error: 5113180686250 tableaux of shape 3,3 with entries at most 300, "
+                           b"past the limit of 1,000,000\n")

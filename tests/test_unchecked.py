@@ -1,19 +1,22 @@
-"""The searches build their tableaux and pictures without the constructors'
-checks, trusting that each value is valid by construction.  Rebuilding
-every such value through the validating constructor must give an equal
-value with an equal hash: a filling out of order, a picture whose pairs
-are not sorted by source, or a list where a tuple belongs fails here.
+"""The searches build their tableaux, pictures and orders without the
+constructors' checks, trusting that each value is valid by construction.
+Rebuilding every such value through the validating constructor must give an
+equal value with an equal hash: a filling out of order, a picture whose pairs
+are not sorted by source, or a list where a tuple belongs fails here.  The
+row readings and listed orders start with their sorted cells and their
+admissibility set, which must be what the checked order derives.
 verify_bijection's unchecked _phi and _psi, which map pictures to and from
 mu's row-major entries, must also agree with the public phi and psi, and
 both maps with their definitions."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrpictures.lr import LRInstance, _phi, _psi, iter_instances, lr_filter, phi, psi
-from lrpictures.pictures import (Picture, TotalOrder, enumerate_admissible_orders,
-                                 enumerate_pictures)
-from lrpictures.shapes import cells, partitions_of, subpartitions
+from lrpictures.pictures import (Picture, TotalOrder, _row_reading, enumerate_admissible_orders,
+                                 enumerate_pictures, is_admissible_order)
+from lrpictures.shapes import SkewShape, cells, partitions_of, subpartitions
 from lrpictures.tableaux import enumerate_ssyt, make_tableau, p_function
 
 
@@ -25,6 +28,53 @@ def assert_tableau_rebuilds(tab):
 def assert_picture_rebuilds(pic):
     rebuilt = Picture(pic.pairs)
     assert rebuilt == pic and hash(rebuilt) == hash(pic)
+
+
+def shapes_up_to(partition_cells, outer_cells):
+    """Every partition with at most partition_cells cells and every skew shape
+    nu/lam with |nu| <= outer_cells."""
+    for total in range(max(partition_cells, outer_cells) + 1):
+        for nu in partitions_of(total):
+            if total <= partition_cells:
+                yield nu
+            if total <= outer_cells:
+                yield from (SkewShape(nu, lam) for lam in subpartitions(nu))
+
+
+def shape_cells(shape):
+    return shape.cells() if isinstance(shape, SkewShape) else cells(shape)
+
+
+ORDER_ATTRIBUTES = ("cells", "_key", "_key_positions", "_filling_steps", "_domain_tables",
+                    "_codomain_tables", "admissible")
+
+
+def test_row_readings_equal_the_checked_row_orders():
+    for shape in shapes_up_to(8, 8):
+        reading, checked = _row_reading(shape), TotalOrder.jay(shape_cells(shape))
+        assert reading == checked and hash(reading) == hash(checked)
+        for name in ORDER_ATTRIBUTES:
+            assert getattr(reading, name) == getattr(checked, name), name
+        assert checked.admissible is True and is_admissible_order(reading)
+
+
+def test_listed_orders_equal_the_checked_orders():
+    for shape in shapes_up_to(8, 7):
+        for order in enumerate_admissible_orders(shape_cells(shape)):
+            checked = TotalOrder(order.cells)
+            assert order == checked and hash(order) == hash(checked)
+            assert (order._key, order.admissible) == (checked._key, checked.admissible)
+            assert is_admissible_order(order)
+
+
+def test_listing_canonicalises_cells_like_the_constructor():
+    assert enumerate_admissible_orders([(True, 2), (1, 1)]) == enumerate_admissible_orders(
+        [(1, 1), (1, 2)])
+    assert all(type(v) is int for v in enumerate_admissible_orders([(True, 2)])[0].cells[0])
+    # listed once with ints, the cells are still checked when they come as floats
+    enumerate_admissible_orders([(1, 1)])
+    with pytest.raises(TypeError):
+        enumerate_admissible_orders([(1.0, 1)])
 
 
 def test_enumerated_tableaux_rebuild():

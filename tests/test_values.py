@@ -11,6 +11,7 @@ copy, deepcopy and pickle with its cached properties still working.
 """
 
 import copy
+import functools
 import pickle
 import subprocess
 import sys
@@ -22,8 +23,9 @@ from lrpictures.lr import (BijectionReport, ConjectureReport, LRInstance, SizeSu
                            SweepReport, iter_instances)
 from lrpictures.pictures import (Picture, TotalOrder, enumerate_admissible_orders,
                                  enumerate_pictures)
-from lrpictures.shapes import (AdditionResult, AdditionStep, Partition, SkewShape, Value,
-                               partitions_of, subpartitions)
+from lrpictures.shapes import (AdditionResult, AdditionStep, NotContained, Partition,
+                               SkewShape, Value, cached_attribute, partitions_of,
+                               subpartitions)
 from lrpictures.tableaux import Tableau, Word
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -153,6 +155,98 @@ def test_cached_properties_work_after_a_round_trip(duplicate):
     assert order.positions == {(1, 2): 0, (1, 1): 1, (2, 1): 2}
     assert pic.apply((1, 2)) == (1, 3)
     assert inst.skew_shape == SkewShape(NU, LAM)
+
+
+# every cached attribute, by class; each is computed on first read and kept
+CACHED = {
+    TotalOrder: ("positions", "admissible", "_key", "_key_positions", "_domain_tables",
+                 "_codomain_tables", "_filling_steps", "_gather"),
+    Picture: ("mapping", "inverse"),
+    LRInstance: ("skew_shape", "_row_readings"),
+}
+
+
+def fresh(cls):
+    """A new value of the class, equal to VALUES[cls], with nothing cached yet."""
+    return cls(*field_values(VALUES[cls]))
+
+
+@pytest.mark.parametrize("cls", list(CACHED), ids=lambda cls: cls.__name__)
+def test_each_cached_attribute_is_computed_once_per_value(cls, monkeypatch):
+    assert sorted(name for name, attr in vars(cls).items()
+                  if isinstance(attr, functools.cached_property)) == sorted(CACHED[cls])
+    calls = []
+    for name in CACHED[cls]:
+        descriptor = vars(cls)[name]
+        assert type(descriptor) is cached_attribute
+        # class access returns the descriptor, with the builder's docstring
+        assert getattr(cls, name) is descriptor and descriptor.__doc__ == descriptor.func.__doc__
+
+        def counted(value, build=descriptor.func, name=name):
+            calls.append(name)
+            return build(value)
+        monkeypatch.setattr(descriptor, "func", counted)
+    for value in (fresh(cls), fresh(cls)):
+        first = [getattr(value, name) for name in CACHED[cls]]
+        again = [getattr(value, name) for name in CACHED[cls]]
+        assert all(a is b for a, b in zip(first, again))
+    # one build per attribute and value, though some builders read other attributes
+    assert sorted(calls) == sorted(CACHED[cls] * 2)
+
+
+@pytest.mark.parametrize("cls", list(CACHED), ids=lambda cls: cls.__name__)
+def test_cached_attributes_cannot_be_assigned_or_deleted(cls):
+    value = fresh(cls)
+    for filled in (False, True):
+        for name in CACHED[cls]:
+            if filled:
+                getattr(value, name)
+            with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+                delattr(value, name)
+
+
+def library_built_values():
+    """An instance, its row readings, its listed orders and its pictures, as the
+    searches build them, each with every cached attribute filled."""
+    inst = LRInstance(Partition((2, 1)), Partition((2, 1)), Partition((3, 2, 1)))
+    values = [inst, *inst._row_readings,
+              *enumerate_admissible_orders(inst.skew_shape.cells()),
+              *enumerate_pictures(inst.mu, inst.skew_shape)]
+    for value in values:
+        for name in CACHED[type(value)]:
+            getattr(value, name)
+    return values
+
+
+def test_values_with_filled_caches_pickle_and_equal_fresh_ones():
+    for value in library_built_values():
+        twin = type(value)(*value._values())
+        for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), value):
+            assert copied == twin and hash(copied) == hash(twin)
+            # _gather is an itemgetter, which compares by identity
+            assert all(getattr(copied, name) == getattr(twin, name)
+                       for name in CACHED[type(value)] if name != "_gather")
+
+
+def test_an_instance_skew_shape_equals_the_checked_one():
+    for inst in iter_instances(7):
+        checked = SkewShape(inst.nu, inst.lam)
+        assert type(inst.skew_shape) is SkewShape
+        assert inst.skew_shape == checked and hash(inst.skew_shape) == hash(checked)
+        assert inst.skew_shape.cells() == checked.cells()
+
+
+def test_the_public_constructors_still_check():
+    with pytest.raises(NotContained, match="^inner shape 2 does not fit inside outer shape 1$"):
+        SkewShape(Partition((1,)), Partition((2,)))
+    with pytest.raises(NotContained, match="^lambda 2 does not fit inside nu 1,1$"):
+        LRInstance(Partition((2,)), Partition(()), Partition((1, 1)))
+    with pytest.raises(TypeError):
+        TotalOrder(((1, 1.0),))
+    with pytest.raises(ValueError, match="^listing repeats a cell$"):
+        TotalOrder(((1, 1), (1, 2), (1, 1)))
 
 
 # the types whose equality hot paths run keep a direct-field copy of Value's pair

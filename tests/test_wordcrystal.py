@@ -8,8 +8,8 @@ from lrpictures import wordcrystal
 from lrpictures.pictures import (OrderCellMismatch, OrderNotAdmissible, TotalOrder,
                                  enumerate_admissible_orders)
 from lrpictures.shapes import Partition, cells, partitions_of
-from lrpictures.tableaux import Tableau, make_tableau, reading_by_order
-from lrpictures.wordcrystal import (IndexOutOfRange, lowering_operator,
+from lrpictures.tableaux import Tableau, enumerate_ssyt, make_tableau, reading_by_order
+from lrpictures.wordcrystal import (IndexOutOfRange, TooManyTableaux, lowering_operator,
                                     raising_operator, verify_embedding)
 
 words = st.lists(st.integers(min_value=1, max_value=4), max_size=8).map(tuple)
@@ -329,3 +329,29 @@ def test_embedding_holds_on_the_empty_shape_and_one_cell(parts, max_entry):
     shape = Partition(parts)
     (order,) = enumerate_admissible_orders(cells(shape))
     assert verify_embedding(shape, max_entry, order) == (True, None)
+
+
+def test_the_tableau_limit_counts_exactly(monkeypatch):
+    # at a limit equal to the number of tableaux the check runs; one below, it refuses
+    for size in range(6):
+        for shape in partitions_of(size):
+            order = TotalOrder.jay(cells(shape))
+            for max_entry in range(len(shape), 5):
+                count = len(enumerate_ssyt(shape, max_entry))
+                monkeypatch.setattr(TooManyTableaux, "limit", count)
+                assert verify_embedding(shape, max_entry, order).ok
+                monkeypatch.setattr(TooManyTableaux, "limit", count - 1)
+                with pytest.raises(TooManyTableaux, match=f"^{count} tableaux of shape {shape} "):
+                    verify_embedding(shape, max_entry, order)
+
+
+def test_a_shape_past_the_limit_is_refused_before_any_tableau_is_listed(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("enumerate_ssyt ran")
+    monkeypatch.setattr(wordcrystal, "enumerate_ssyt", refuse)
+    shape = Partition((3, 3))
+    with pytest.raises(TooManyTableaux) as caught:
+        verify_embedding(shape, 300, TotalOrder.jay(cells(shape)))
+    assert isinstance(caught.value, ValueError)
+    assert str(caught.value) == ("5113180686250 tableaux of shape 3,3 with entries at most 300, "
+                                 "past the limit of 1,000,000")
