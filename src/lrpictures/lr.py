@@ -12,7 +12,7 @@ one walk, and it tells psi's domain by landing on nu or not.
 The public maps check their input: phi that it is given a picture, and
 it validates its tableau; psi that its tableau has shape mu and lands.
 Their check-free twins _phi and _psi map pictures to and from mu's entry
-tuples, the crystal as _fillings returns it; the three checks read it so,
+tuples, the crystal as _fillings yields it; the three checks read it so,
 and the enumerated crystal and pictures judge the images by membership.
 
 lr_coefficient_lattice is a deliberately separate oracle: it never
@@ -88,7 +88,7 @@ class LRInstance(Value):
                 "nu": self.nu.to_json(), "rank_bound": self.rank_bound}
 
 
-def _fillings(inst: LRInstance, order: TotalOrder | None = None) -> list[tuple[int, ...]]:
+def _fillings(inst: LRInstance, order: TotalOrder | None = None) -> Iterator[tuple[int, ...]]:
     """lr_filter's tableaux as mu's row-major entry tuples, in the search's order."""
     # an entry past the rows of nu never lands on nu, so the rows of nu bound the search
     return _pruned_fillings(inst.mu, inst.lam, order, len(inst.nu), inst.nu)
@@ -195,9 +195,8 @@ def verify_bijection(inst: LRInstance) -> BijectionReport:
     pins pic's sources to mu's cells.  The verdict trusts enumerate_pictures.
     """
     pics = enumerate_pictures(inst.mu, inst.skew_shape)
-    fillings = _fillings(inst)
+    crystal = set(_fillings(inst))
     lattice = lr_coefficient_lattice(inst)
-    crystal = set(fillings)
     matched: set[tuple[int, ...]] = set()
     counterexample = None
     for pic in pics:
@@ -218,11 +217,11 @@ def verify_bijection(inst: LRInstance) -> BijectionReport:
                 else "psi_image_outside_pictures")
         counterexample = {"kind": kind,
                           "tableau": _tableaux_of(inst.mu, [unmatched])[0].to_json()}
-    if counterexample is None and not len(pics) == len(fillings) == lattice:
+    if counterexample is None and not len(pics) == len(crystal) == lattice:
         counterexample = {"kind": "count_mismatch", "pictures": len(pics),
-                          "crystals": len(fillings), "lattice": lattice}
+                          "crystals": len(crystal), "lattice": lattice}
     status = "ok" if counterexample is None else "fail"
-    return BijectionReport(inst, len(pics), len(fillings), lattice, status, counterexample)
+    return BijectionReport(inst, len(pics), len(crystal), lattice, status, counterexample)
 
 
 def lemma_add_check(pic: Picture, inst: LRInstance) -> bool:
@@ -246,7 +245,7 @@ def decompose_tensor(lam: Partition, mu: Partition, rank_bound: int,
     entries are at most rank_bound, so every final shape has at most
     rank_bound rows.  The reading defaults to the row reading.  Runs the
     filling search of the crystal filter with no cap; a filling's final
-    shape is lam plus its content, so fillings are counted by content.
+    shape is lam plus its content, so each is counted by content as it comes.
     """
     if len(lam) > rank_bound - 1 or len(mu) > rank_bound - 1:
         raise RankTooSmall(f"rank bound {rank_bound} must exceed the rows of both shapes: "
@@ -330,7 +329,7 @@ def lr_coefficient_all_methods(inst: LRInstance) -> CountTriple:
     """Three independently computed counts; agreement is the headline check."""
     return CountTriple(
         pictures=len(enumerate_pictures(inst.mu, inst.skew_shape)),
-        crystals=len(_fillings(inst)),
+        crystals=sum(1 for _ in _fillings(inst)),
         lattice=lr_coefficient_lattice(inst),
     )
 
@@ -376,14 +375,13 @@ def conjecture_experiment(inst: LRInstance, codomain_order: TotalOrder,
     A filling whose row reading does not land on nu has the image None,
     which no pair lists.
     """
-    fillings = _fillings(inst, domain_order)
+    images = [_psi(entries, inst) for entries in _fillings(inst, domain_order)]
     pics = set(enumerate_pictures(inst.mu, inst.skew_shape,
                                   domain_order, codomain_order))
-    images = [_psi(entries, inst) for entries in fillings]
     image_set = set(images)
     return ConjectureReport(
         inst, codomain_order, domain_order,
-        crystals=len(fillings), pictures=len(pics),
+        crystals=len(images), pictures=len(pics),
         well_defined=image_set <= pics,
         injective=len(image_set) == len(images),
         surjective=pics <= image_set,

@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate
 from operator import index, itemgetter
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .pictures import OrderCellMismatch, OrderNotAdmissible, TotalOrder, _row_reading
 from .shapes import Cell, Partition, Value, cells
@@ -135,7 +135,7 @@ def _row_lengths(top: int, shape: Partition, rank_bound: int) -> list[int]:
 
 
 def _pruned_fillings(mu: Partition, lam: Partition, order: TotalOrder | None,
-                     rank_bound: int, cap: Partition | None) -> list[tuple[int, ...]]:
+                     rank_bound: int, cap: Partition | None) -> Iterator[tuple[int, ...]]:
     """Semistandard fillings of mu whose reading adds onto lam box by box.
 
     Fills the cells in the order's listing (the row reading by default).
@@ -144,7 +144,7 @@ def _pruned_fillings(mu: Partition, lam: Partition, order: TotalOrder | None,
     cells below it, which need distinct larger entries: above + 1 <= v <=
     min(right, rank_bound - cells below).  The box of v goes onto row v of lam at
     once, and the branch is cut when row v would outgrow row v - 1 or,
-    given a cap, the cap's row v.  Each filling comes back, in depth-first
+    given a cap, the cap's row v.  Yields each filling, in depth-first
     order, as its entries alone, in row-major cell order; the row lengths
     it adds up to are lam plus its content.  An entry of 0 marks an
     unplaced cell, so the cursor k steps back to a cell and resumes just
@@ -162,11 +162,10 @@ def _pruned_fillings(mu: Partition, lam: Partition, order: TotalOrder | None,
              else _row_lengths(unbounded, cap, rank_bound))
     n = len(steps)
     entries = [0] * n
-    found: list[tuple[int, ...]] = []
     k = 0
     while k >= 0:
         if k == n:
-            found.append(tuple(entries))
+            yield tuple(entries)
             k -= 1
             continue
         cell, right, above, below = steps[k]
@@ -189,7 +188,6 @@ def _pruned_fillings(mu: Partition, lam: Partition, order: TotalOrder | None,
             rows[v] += 1
             entries[cell] = v
             k += 1
-    return found
 
 
 def _row_cutter(shape: Partition) -> Callable[[tuple[int, ...]], tuple[tuple[int, ...], ...]]:
@@ -200,11 +198,9 @@ def _row_cutter(shape: Partition) -> Callable[[tuple[int, ...]], tuple[tuple[int
             else lambda entries: (entries,) * len(shape))
 
 
-def _tableaux_of(shape: Partition, fillings: list[tuple[int, ...]]) -> tuple[Tableau, ...]:
+def _tableaux_of(shape: Partition, fillings: Iterable[tuple[int, ...]]) -> tuple[Tableau, ...]:
     """The tableaux of the shape's fillings, in lexicographic row-major order, unchecked:
     the filling search's are semistandard by construction."""
-    if not fillings:
-        return ()
     rows_of = _row_cutter(shape)
     make = Tableau._unchecked
     return tuple([make(shape, rows_of(entries)) for entries in sorted(fillings)])
@@ -221,8 +217,9 @@ def enumerate_ssyt(shape: Partition, max_entry: int) -> tuple[Tableau, ...]:
     """
     if len(shape) > max_entry:
         return ()
-    lam = Partition(tuple((shape.size + 1) * v for v in reversed(range(max_entry))))
-    return _tableaux_of(shape, _pruned_fillings(shape, lam, None, max_entry, None))
+    rows = max_entry if shape else 0  # the empty shape has no entry to bound
+    lam = Partition(tuple((shape.size + 1) * v for v in reversed(range(rows))))
+    return _tableaux_of(shape, _pruned_fillings(shape, lam, None, rows, None))
 
 
 def level_set(tab: Tableau, k: int) -> tuple[Cell, ...]:

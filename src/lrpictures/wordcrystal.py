@@ -98,7 +98,8 @@ def verify_embedding(shape: Partition, max_entry: int,
     does a shape with over TooManyTableaux.limit tableaux, by the hook-content formula."""
     max_entry = index(max_entry)
     _check_reading_order(order, shape)
-    count = prod(max_entry + j - i for i, j in cells(shape)) // prod(
+    count = 0 if len(shape) > max_entry else prod(
+        max_entry + j - i for i, j in cells(shape)) // prod(
         shape.parts[i - 1] - j + sum(p >= j for p in shape.parts[i:]) + 1 for i, j in cells(shape))
     if count > TooManyTableaux.limit:
         raise TooManyTableaux(f"{count} tableaux of shape {shape} with entries at most "
@@ -107,7 +108,8 @@ def verify_embedding(shape: Partition, max_entry: int,
     # each word as an integer, one big-endian digit of `width` bytes per letter:
     # the codes sort as the words do, and an operator's result is one addition
     width = (max_entry.bit_length() + 7) // 8
-    digits = [a.to_bytes(width, "big") for a in range(max_entry + 1)]
+    letters = max_entry + 1 if shape else 0  # one slot per letter; the empty word reads none
+    digits = [a.to_bytes(width, "big") for a in range(letters)]
     encode = bytes if width == 1 else lambda word: b"".join(map(digits.__getitem__, word))
     codes: dict[int, tuple[int, ...]] = {}
     for tab in enumerate_ssyt(shape, max_entry):
@@ -123,9 +125,9 @@ def verify_embedding(shape: Partition, max_entry: int,
     # so resetting unmatched[a] and minus[a - 1] for each letter a, miss or not,
     # restores the arrays; minus[0] belongs to no operator and is never read.  A miss
     # is (word, index, rank, position), rank 0 lowering and 1 raising; the least is kept
-    unmatched = [0] * (max_entry + 1)
-    plus = [-1] * (max_entry + 1)
-    minus = [-1] * (max_entry + 1)
+    unmatched = [0] * letters
+    plus = [-1] * letters
+    minus = [-1] * letters
     least = None
     for code, word in codes.items():
         for k, a in enumerate(word):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -300,19 +301,37 @@ def test_a_reader_that_closes_the_pipe_early_gets_no_traceback():
     assert (code, err) == (141, b"")
 
 
-def test_running_out_of_memory_exits_2_with_one_line():
-    # the staircase decompose lists 1,458,444 fillings, ~300 MB, before it counts
+def run_capped(cap_mb, *argv, timeout=120):
+    """The CLI in a fresh interpreter whose address space, and only its own, is capped."""
     import resource
-    cap = 150 * 2**20
+    cap = cap_mb * 2**20
     src = str(Path(lrpictures.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run(
-        [sys.executable, "-m", "lrpictures.cli", "decompose", "--lambda", "6,5,4,3,2,1",
-         "--mu", "6,5,4,3,2,1", "--rank", "12"],
-        capture_output=True, env=env, timeout=120,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    return subprocess.run(
+        [sys.executable, "-m", "lrpictures.cli", *argv], capture_output=True, env=env,
+        timeout=timeout, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+
+
+def test_running_out_of_memory_exits_2_with_one_line():
+    # the embedding check holds the words of 896,126 tableaux, ~390 MB, at once
+    done = run_capped(150, "verify", "--mu", "3,3", "--rank", "22")
     assert (done.returncode, done.stderr) == (2, b"error: out of memory\n")
+
+
+def test_decompose_counts_the_fillings_as_they_arrive():
+    # 361,712 fillings, ~90 MB when held all at once, for 2,701 lines of counts
+    done = run_capped(64, "decompose", "--lambda", "6,5,4,3,2,1", "--mu", "6,5,4,3,2,1",
+                      "--rank", "8")
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert hashlib.sha256(done.stdout).hexdigest() == (
+        "013bf81574456c45e60c18fe88ec2b0d5377ad8e71e1ac6113125dbe1b6b7518")
+
+
+def test_the_empty_shape_checks_its_one_word_at_any_bound():
+    # tables with one item per letter up to the bound would take ~12 GB here
+    done = run_capped(100, "verify", "--mu", "-", "--rank", "100000000", timeout=5)
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"embedding=ok\n", b"")
 
 
 def test_an_embedding_past_the_tableau_limit_exits_2_with_one_line():

@@ -419,7 +419,7 @@ def test_a_filling_that_does_not_land_is_an_image_outside_the_pictures(monkeypat
     stray = make_tableau(Partition((3, 2)), ((1, 1, 1), (2, 2)))
     real_fillings = lr._fillings
     monkeypatch.setattr(lr, "_fillings",
-                        lambda inst, order=None: real_fillings(inst, order) + [entries(stray)])
+                        lambda inst, order=None: [*real_fillings(inst, order), entries(stray)])
     row = conjecture_experiment(inst, TotalOrder.jay(inst.skew_shape.cells()),
                                 TotalOrder.jay(cells(inst.mu)))
     assert (row.crystals, row.pictures) == (3, 2)
@@ -480,7 +480,7 @@ def test_an_extra_tableau_sent_to_a_reached_picture(monkeypatch):
     real_fillings, real_psi = lr._fillings, lr._psi
     assert injected_report(
         monkeypatch,
-        _fillings=lambda inst: real_fillings(inst) + [entries(stray)],
+        _fillings=lambda inst: [*real_fillings(inst), entries(stray)],
         _psi=lambda filling, inst: (REF_PIC_FOR_T2 if filling == entries(stray)
                                     else real_psi(filling, inst))) == {
         "kind": "phi_psi_not_identity", "tableau": stray.to_json()}

@@ -345,6 +345,19 @@ def test_the_tableau_limit_counts_exactly(monkeypatch):
                     verify_embedding(shape, max_entry, order)
 
 
+def test_a_bound_below_the_rows_counts_no_tableaux(monkeypatch):
+    # the hook-content product is no count there: it gave (1,1,1,1) at -10**6 about 4e22
+    shape = Partition((1, 1, 1, 1))
+    assert verify_embedding(shape, -10**6, TotalOrder.jay(cells(shape))) == (True, None)
+    monkeypatch.setattr(TooManyTableaux, "limit", 0)
+    for size in range(6):
+        for shape in partitions_of(size):
+            order = TotalOrder.jay(cells(shape))
+            for max_entry in range(-3, len(shape)):
+                assert enumerate_ssyt(shape, max_entry) == ()
+                assert verify_embedding(shape, max_entry, order) == (True, None)
+
+
 def test_a_shape_past_the_limit_is_refused_before_any_tableau_is_listed(monkeypatch):
     def refuse(*args):
         raise AssertionError("enumerate_ssyt ran")
