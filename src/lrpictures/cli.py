@@ -211,8 +211,9 @@ def _cmd_verify(args: SimpleNamespace) -> int:
         raise ValueError("--lambda not used: verify without --nu checks the embedding of --mu")
     shape = _partition("--mu", args.mu)
     if args.rank < len(shape):
-        raise ValueError(f"rank {args.rank} below the {len(shape)} rows of "
-                         f"{shape}: no tableau exists to check")
+        raise ValueError((f"rank {args.rank} below the {len(shape)} rows of {shape}" if shape
+                          else f"rank {args.rank} below 0, the least entry bound")
+                         + ": no tableau exists to check")
     order = resolve_order(args.order or "jay", cells(shape))
     report = verify_embedding(shape, args.rank, order)
     if args.format == "json":

@@ -11,7 +11,8 @@ canonicalise their input, so a non-integral entry or coordinate raises
 TypeError.  Only _tableaux_of skips that check, through Tableau._unchecked,
 and only for the fillings of _pruned_fillings, semistandard by construction.
 enumerate_ssyt keeps every tableau of each (shape, bound) it is asked for
-as long as the process lives: 4000 of them after verify --mu 1 --rank 4000.
+as long as the process lives; verify_embedding streams _ssyt_fillings'
+entries instead, so it neither fills nor reads that cache.
 """
 
 from __future__ import annotations
@@ -206,20 +207,21 @@ def _tableaux_of(shape: Partition, fillings: Iterable[tuple[int, ...]]) -> tuple
     return tuple([make(shape, rows_of(entries)) for entries in sorted(fillings)])
 
 
-@lru_cache(maxsize=None)
-def enumerate_ssyt(shape: Partition, max_entry: int) -> tuple[Tableau, ...]:
-    """All semistandard tableaux of the shape with entries at most max_entry.
-
-    Output order is lexicographic by row-major entry sequence, which makes
-    downstream listings reproducible.  A bound below the number of rows
-    leaves nothing to enumerate.  The filling search runs onto a lam whose
-    rows lie |shape| + 1 boxes apart: no row can catch up, so nothing is cut.
-    """
-    if len(shape) > max_entry:
-        return ()
+def _ssyt_fillings(shape: Partition, max_entry: int) -> Iterator[tuple[int, ...]]:
+    """The row-major entries of the shape's semistandard tableaux with entries at most
+    max_entry, as the filling search yields them onto a lam whose rows lie |shape| + 1
+    boxes apart: no row can catch up, so nothing is cut.  A bound below the number of
+    rows leaves nothing to enumerate."""
     rows = max_entry if shape else 0  # the empty shape has no entry to bound
     lam = Partition(tuple((shape.size + 1) * v for v in reversed(range(rows))))
-    return _tableaux_of(shape, _pruned_fillings(shape, lam, None, rows, None))
+    return _pruned_fillings(shape, lam, None, rows, None) if len(shape) <= max_entry else iter(())
+
+
+@lru_cache(maxsize=None)
+def enumerate_ssyt(shape: Partition, max_entry: int) -> tuple[Tableau, ...]:
+    """All semistandard tableaux of the shape with entries at most max_entry, in
+    lexicographic row-major order, which makes downstream listings reproducible."""
+    return _tableaux_of(shape, _ssyt_fillings(shape, max_entry))
 
 
 def level_set(tab: Tableau, k: int) -> tuple[Cell, ...]:

@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 
 from .pictures import TotalOrder
 from .shapes import Partition, cells
-from .tableaux import _check_reading_order, enumerate_ssyt
+from .tableaux import _check_reading_order, _ssyt_fillings
 # not used here; kept as wordcrystal.reading_by_order for the perfbench tracer test
 from .tableaux import reading_by_order  # noqa: F401
 
@@ -28,14 +28,8 @@ class IndexOutOfRange(ValueError):
 
 
 class TooManyTableaux(ValueError):
-    """More tableaux than verify_embedding collects: a million take about 0.5 GB."""
+    """More tableaux than verify_embedding checks: 900,000 take about 2 s."""
     limit = 1_000_000
-
-
-def _check_letters(letters: tuple[int, ...], max_letter: int) -> None:
-    for a in letters:
-        if not 1 <= a <= max_letter:
-            raise ValueError(f"letter {a} outside 1..{max_letter}")
 
 
 def _checked(word: Sequence[int], i: int, max_letter: int) -> tuple[tuple[int, ...], int]:
@@ -43,7 +37,9 @@ def _checked(word: Sequence[int], i: int, max_letter: int) -> tuple[tuple[int, .
     if not 1 <= i <= max_letter - 1:
         raise IndexOutOfRange(f"index {i} not in 1..{max_letter - 1}")
     letters = tuple(map(index, word))
-    _check_letters(letters, max_letter)
+    for a in letters:
+        if not 1 <= a <= max_letter:
+            raise ValueError(f"letter {a} outside 1..{max_letter}")
     return letters, i
 
 
@@ -94,8 +90,10 @@ def verify_embedding(shape: Partition, max_entry: int,
     The image of the reading map must be closed under both operators: either
     one applied to an image word yields None or another image word.  The least
     violation is the counterexample, words sorted, then indices, then lowering
-    before raising.  A letter outside 1..max_entry raises ValueError first, and so
-    does a shape with over TooManyTableaux.limit tableaux, by the hook-content formula."""
+    before raising.  No image is kept: an operator changes one letter by one, so
+    its result is an image word exactly when the changed cell still fits its
+    neighbours.  A shape with over TooManyTableaux.limit tableaux, by the
+    hook-content formula, raises TooManyTableaux before any is listed."""
     max_entry = index(max_entry)
     _check_reading_order(order, shape)
     count = 0 if len(shape) > max_entry else prod(
@@ -105,31 +103,28 @@ def verify_embedding(shape: Partition, max_entry: int,
         raise TooManyTableaux(f"{count} tableaux of shape {shape} with entries at most "
                               f"{max_entry}, past the limit of {TooManyTableaux.limit:,}")
     gather = order._gather
-    # each word as an integer, one big-endian digit of `width` bytes per letter:
-    # the codes sort as the words do, and an operator's result is one addition
-    width = (max_entry.bit_length() + 7) // 8
-    letters = max_entry + 1 if shape else 0  # one slot per letter; the empty word reads none
-    digits = [a.to_bytes(width, "big") for a in range(letters)]
-    encode = bytes if width == 1 else lambda word: b"".join(map(digits.__getitem__, word))
-    codes: dict[int, tuple[int, ...]] = {}
-    for tab in enumerate_ssyt(shape, max_entry):
-        word = gather(sum(tab.rows, ()))
-        if word and (min(word) < 1 or max(word) > max_entry):
-            _check_letters(word, max_entry)
-        codes[int.from_bytes(encode(word), "big")] = word
-    place = [1 << k * 8 * width for k in reversed(range(shape.size))]
-    # one pass over the words in tableau order, each with one signature scan (letter a
+    n, at = len(order), order.positions
+    right, below, left, above = ([at.get((i + di, j + dj), n) for i, j in order.cells]
+                                 for di, dj in ((0, 1), (1, 0), (0, -1), (-1, 0)))
+    # one pass over the words in search order, each with one signature scan (letter a
     # is a plus of index a and a minus of index a - 1, so this is _lower_and_raise's
     # count run for every index at once) and one check loop over its letters.  Only
     # letter i raises unmatched[i], and plus[i] is read only while unmatched[i] is set,
     # so resetting unmatched[a] and minus[a - 1] for each letter a, miss or not,
-    # restores the arrays; minus[0] belongs to no operator and is never read.  A miss
-    # is (word, index, rank, position), rank 0 lowering and 1 raising; the least is kept
+    # restores the arrays; minus[0] belongs to no operator and is never read.  Lowering
+    # a at position k misses iff its right neighbour holds a or the cell below a + 1;
+    # raising a, iff its left neighbour holds a or the cell above a - 1.  Neighbours
+    # are listing positions, n for none, where each word is padded with a 0 that no
+    # test matches.  A miss is (word, index, rank, position), rank 0 lowering and 1
+    # raising; the least is kept
+    letters = max_entry + 1 if shape else 0  # one slot per letter; the empty word reads none
     unmatched = [0] * letters
     plus = [-1] * letters
     minus = [-1] * letters
     least = None
-    for code, word in codes.items():
+    for entries in _ssyt_fillings(shape, max_entry):
+        word = gather(entries)
+        padded = word + (0,)
         for k, a in enumerate(word):
             if unmatched[a - 1]:
                 unmatched[a - 1] -= 1
@@ -140,13 +135,14 @@ def verify_embedding(shape: Partition, max_entry: int,
             unmatched[a] += 1
         for a in word:
             if unmatched[a]:
-                if a < max_entry and code + place[plus[a]] not in codes:
-                    miss = word, a, 0, plus[a]
+                k = plus[a]
+                if a < max_entry and (padded[right[k]] == a or padded[below[k]] == a + 1):
+                    miss = word, a, 0, k
                     least = min(least or miss, miss)
                 unmatched[a] = 0
             k = minus[a - 1]
             if k >= 0 and a > 1:
-                if code - place[k] not in codes:
+                if padded[left[k]] == a or padded[above[k]] == a - 1:
                     miss = word, a - 1, 1, k
                     least = min(least or miss, miss)
                 minus[a - 1] = -1

@@ -314,9 +314,16 @@ def run_capped(cap_mb, *argv, timeout=120):
 
 
 def test_running_out_of_memory_exits_2_with_one_line():
-    # the embedding check holds the words of 896,126 tableaux, ~390 MB, at once
-    done = run_capped(150, "verify", "--mu", "3,3", "--rank", "22")
+    # the conjecture rows of every instance with |nu| <= 8, held for the JSON
+    # document, peak at ~172 MB
+    done = run_capped(150, "conjecture", "--max-size", "8", "--format", "json")
     assert (done.returncode, done.stderr) == (2, b"error: out of memory\n")
+
+
+def test_the_embedding_check_keeps_no_image():
+    # 896,126 tableaux, whose words held at once would take ~390 MB
+    done = run_capped(64, "verify", "--mu", "3,3", "--rank", "22")
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"embedding=ok\n", b"")
 
 
 def test_decompose_counts_the_fillings_as_they_arrive():

@@ -110,3 +110,11 @@ def test_the_rank_floor_of_an_empty_target_names_the_bound_it_enforces(capsys):
                          "--rank", "0")
     assert (code, out) == (2, "")
     assert err == "error: rank bound 0 below 1, the least rank bound\n"
+
+
+@pytest.mark.parametrize("rank", ["-1", "-3"])
+def test_the_rank_floor_of_an_empty_shape_names_the_bound_it_enforces(capsys, rank):
+    code, out, err = run(capsys, "verify", "--mu", "-", "--rank", rank)
+    assert (code, out) == (2, "")
+    assert err == (f"error: rank {rank} below 0, the least entry bound: "
+                   "no tableau exists to check\n")

@@ -1,4 +1,5 @@
-from itertools import combinations
+import tracemalloc
+from itertools import permutations
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,7 +9,8 @@ from lrpictures import wordcrystal
 from lrpictures.pictures import (OrderCellMismatch, OrderNotAdmissible, TotalOrder,
                                  enumerate_admissible_orders)
 from lrpictures.shapes import Partition, cells, partitions_of
-from lrpictures.tableaux import Tableau, enumerate_ssyt, make_tableau, reading_by_order
+from lrpictures.tableaux import (ColumnNotStrictlyIncreasing, RowNotWeaklyIncreasing,
+                                 enumerate_ssyt, make_tableau, reading_by_order)
 from lrpictures.wordcrystal import (IndexOutOfRange, TooManyTableaux, lowering_operator,
                                     raising_operator, verify_embedding)
 
@@ -189,7 +191,7 @@ def reference_embedding(shape, max_entry, order):
     """Read every tableau through reading_by_order and apply each public
     operator to each image word."""
     image = {reading_by_order(tab, order).letters
-             for tab in wordcrystal.enumerate_ssyt(shape, max_entry)}
+             for tab in enumerate_ssyt(shape, max_entry)}
     for word in sorted(image):
         for i in range(1, max_entry):
             for name, operator in (("lowering", lowering_operator),
@@ -210,21 +212,74 @@ def test_embedding_reports_match_the_per_tableau_reference():
                         shape, max_entry, order)
 
 
-# one missing word is never both operators' result on the same word, so
-# pairs of dropped tableaux pin lowering-before-raising: on the row (2,),
-# dropping 11 and 22 leaves 12 with both results missing at index 1
-@pytest.mark.parametrize("shape", [Partition((2, 1)), Partition((2,))])
-@pytest.mark.parametrize("reading", [TotalOrder.jay, TotalOrder.eff])
-def test_dropped_tableaux_give_the_reference_counterexample(monkeypatch, shape, reading):
-    real = wordcrystal.enumerate_ssyt
-    order = reading(cells(shape))
-    count = len(real(shape, 3))
-    for dropped in [(k,) for k in range(count)] + list(combinations(range(count), 2)):
-        monkeypatch.setattr(wordcrystal, "enumerate_ssyt", lambda shape, max_entry: tuple(
-            tab for k, tab in enumerate(real(shape, max_entry)) if k not in dropped))
-        report = verify_embedding(shape, 3, order)
-        assert not report.ok
-        assert tuple(report) == reference_embedding(shape, 3, order)
+def every_listing(max_cells):
+    """Each shape of at most max_cells cells with every listing of its cells, the
+    non-admissible ones built through TotalOrder._unchecked, which presets
+    admissible, so the check also meets readings that are no embedding."""
+    for size in range(max_cells + 1):
+        for shape in partitions_of(size):
+            key = cells(shape)
+            for listing in permutations(key):
+                yield shape, TotalOrder._unchecked(listing, key)
+
+
+# the check judges each operator result by the one cell it changes; every
+# listing, admissible or not, pins it to the reference, which keeps the image
+@pytest.mark.parametrize("max_cells, bounds", [
+    *(pytest.param(5, (m,), id=f"5-cells-bound-{m}") for m in range(1, 5)),
+    pytest.param(6, range(1, 6), marks=pytest.mark.slow, id="6-cells-bounds-1-5")])
+def test_every_listing_gives_the_reference_report(max_cells, bounds):
+    missed = set()
+    for shape, order in every_listing(max_cells):
+        for max_entry in bounds:
+            report = verify_embedding(shape, max_entry, order)
+            assert report == reference_embedding(shape, max_entry, order)
+            if not report.ok:
+                missed.add(report.counterexample["operator"])
+    assert missed == (set() if max(bounds) == 1 else {"lowering", "raising"})
+
+
+def _unread(shape, order, letters):
+    """The rows whose reading along the order gives the letters."""
+    return [[letters[order.positions[(i, j)]] for j in range(1, p + 1)]
+            for i, p in enumerate(shape.parts, 1)]
+
+
+# semistandardness itself, not the image, as the judge: the reported word is a
+# tableau read along the listing, and the operator's result, within the bound, is none
+@pytest.mark.parametrize("max_entry", [2, 3, 4])
+def test_each_reported_result_breaks_the_one_cell_it_changes(max_entry):
+    operators = {"lowering": lowering_operator, "raising": raising_operator}
+    for shape, order in every_listing(5):
+        report = verify_embedding(shape, max_entry, order)
+        if report.ok:
+            continue
+        miss = report.counterexample
+        word, result = tuple(miss["word"]), tuple(miss["result"])
+        assert operators[miss["operator"]](word, miss["index"], max_entry) == result
+        make_tableau(shape, _unread(shape, order, word))
+        with pytest.raises((RowNotWeaklyIncreasing, ColumnNotStrictlyIncreasing)):
+            make_tableau(shape, _unread(shape, order, result))
+
+
+def test_the_check_lists_no_cached_tableaux():
+    before = enumerate_ssyt.cache_info()
+    shape = Partition((2, 1))
+    for order in enumerate_admissible_orders(cells(shape)):
+        assert verify_embedding(shape, 4, order).ok
+    assert enumerate_ssyt.cache_info() == before
+
+
+def test_the_check_keeps_no_image():
+    # 9,075 tableaux: a set of their words alone would take about a megabyte
+    shape = Partition((3, 3))
+    tracemalloc.start()
+    try:
+        assert verify_embedding(shape, 10, TotalOrder.jay(cells(shape))).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 # a slip in the resets after each letter would leave a stale plus or minus
@@ -238,84 +293,14 @@ def test_admissible_readings_are_closed_up_to_five_cells_and_at_bound_300():
     assert verify_embedding(Partition((1, 1)), 300, TotalOrder.jay(cells(Partition((1, 1))))).ok
 
 
-def _failing_words(words, max_entry):
-    """The words, in their given order, with an operator result outside them."""
-    image = set(words)
-    return [word for word in words
-            if any(result is not None and result not in image
-                   for i in range(1, max_entry)
-                   for result in (lowering_operator(word, i, max_entry),
-                                  raising_operator(word, i, max_entry)))]
-
-
-# the fast pass meets the words in tableau order, so its first miss can come
-# after a smaller failing word; the reported counterexample must still be the
-# reference's, the first in sorted order.  Under the column reading of (2,1)
-# with bound 3, dropping the last tableau (23/3) first fails at the word 313
-# in tableau order but at 223 in sorted order, and reversing the tableaux
-# with the first (11/2) dropped first fails at 212 against 113.
-@pytest.mark.parametrize("dropped, reverse", [(7, False), (0, True)])
-def test_insertion_order_misses_give_the_sorted_counterexample(monkeypatch, dropped, reverse):
-    shape = Partition((2, 1))
-    order = TotalOrder.eff(cells(shape))
-    tabs = [tab for k, tab in enumerate(wordcrystal.enumerate_ssyt(shape, 3)) if k != dropped]
-    if reverse:
-        tabs.reverse()
-    failing = _failing_words([reading_by_order(tab, order).letters for tab in tabs], 3)
-    assert failing[0] != min(failing)
-    monkeypatch.setattr(wordcrystal, "enumerate_ssyt", lambda shape, max_entry: tuple(tabs))
-    report = verify_embedding(shape, 3, order)
-    assert report.counterexample["word"] == list(min(failing))
-    assert tuple(report) == reference_embedding(shape, 3, order)
-
-
-# shapes up to 5 cells with at most 4 rows, so a bound of 4 leaves a tableau to drop
-small_shapes = [shape for size in range(6) for shape in partitions_of(size) if len(shape) <= 4]
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_random_dropped_tableaux_give_the_reference_report(data):
-    shape = data.draw(st.sampled_from(small_shapes))
-    order = data.draw(st.sampled_from(enumerate_admissible_orders(cells(shape))))
-    max_entry = data.draw(st.integers(min_value=max(len(shape), 1), max_value=4))
-    real = wordcrystal.enumerate_ssyt
-    tabs = real(shape, max_entry)
-    dropped = data.draw(st.sets(st.sampled_from(range(len(tabs))), min_size=1))
-    kept = tuple(tab for k, tab in enumerate(tabs) if k not in dropped)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(wordcrystal, "enumerate_ssyt", lambda shape, max_entry: kept)
-        assert tuple(verify_embedding(shape, max_entry, order)) == reference_embedding(
-            shape, max_entry, order)
-
-
-# an entry above the bound raises before any operator is tried, so the word
-# (1,), whose lowering (2,) is missing and which sorts first, gives no report;
-# 256 under the bound 255 would not fit the one-byte codes, and 0 is below 1
-@pytest.mark.parametrize("max_entry, bad", [(3, 4), (255, 256), (300, 301), (300, 0)])
-def test_letters_above_the_bound_raise_before_any_operator(monkeypatch, max_entry, bad):
-    cell = Partition((1,))
-    tabs = (make_tableau(cell, ((1,),)), Tableau._unchecked(cell, ((bad,),)))
-    monkeypatch.setattr(wordcrystal, "enumerate_ssyt", lambda shape, max_entry: tabs)
-    with pytest.raises(ValueError, match=rf"^letter {bad} outside 1\.\.{max_entry}$"):
-        verify_embedding(cell, max_entry, TotalOrder.jay(cells(cell)))
-
-
-# with letters above 255 each letter takes two bytes in the word codes; a few
-# hand-picked tableaux keep the reference cheap at that bound
-@pytest.mark.parametrize("entries", [
-    ((255, 256), (255, 257), (256, 257)),
-    ((1, 256), (1, 257), (2, 257), (255, 256)),
-    ((254, 300), (255, 300), (256, 300), (255, 299), (256, 299)),
-])
-def test_two_byte_letters_give_the_reference_counterexample(monkeypatch, entries):
-    column = Partition((1, 1))
-    tabs = tuple(make_tableau(column, ((a,), (b,))) for a, b in entries)
-    monkeypatch.setattr(wordcrystal, "enumerate_ssyt", lambda shape, max_entry: tabs)
-    order = TotalOrder.jay(cells(column))
-    report = verify_embedding(column, 300, order)
+# letters past one byte, at a bound where the reference is still cheap: a column
+# or a row has one admissible listing, and its reverse misses
+@pytest.mark.parametrize("shape", [Partition((1, 1)), Partition((2,))])
+def test_the_failing_listing_at_bound_300_gives_the_reference_counterexample(shape):
+    order = TotalOrder._unchecked(TotalOrder.jay(cells(shape)).cells[::-1], cells(shape))
+    report = verify_embedding(shape, 300, order)
     assert not report.ok
-    assert tuple(report) == reference_embedding(column, 300, order)
+    assert report == reference_embedding(shape, 300, order)
 
 
 def test_two_byte_letters_close_on_one_cell():
@@ -360,8 +345,8 @@ def test_a_bound_below_the_rows_counts_no_tableaux(monkeypatch):
 
 def test_a_shape_past_the_limit_is_refused_before_any_tableau_is_listed(monkeypatch):
     def refuse(*args):
-        raise AssertionError("enumerate_ssyt ran")
-    monkeypatch.setattr(wordcrystal, "enumerate_ssyt", refuse)
+        raise AssertionError("the filling search ran")
+    monkeypatch.setattr(wordcrystal, "_ssyt_fillings", refuse)
     shape = Partition((3, 3))
     with pytest.raises(TooManyTableaux) as caught:
         verify_embedding(shape, 300, TotalOrder.jay(cells(shape)))
