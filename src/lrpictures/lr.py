@@ -11,9 +11,10 @@ one walk, and it tells psi's domain by landing on nu or not.
 
 The public maps check their input: phi that it is given a picture, and
 it validates its tableau; psi that its tableau has shape mu and lands.
-Their check-free twins _phi and _psi map pictures to and from mu's entry
-tuples, the crystal as _fillings yields it; the three checks read it so,
-and the enumerated crystal and pictures judge the images by membership.
+Their check-free twins _phi and _psi map a picture's targets, as
+_picture_targets yields them, to and from mu's entry tuples, as _fillings
+yields the crystal; the three checks read both sides so, build no Picture,
+and judge the images by membership in the enumerated sides.
 
 lr_coefficient_lattice is a deliberately separate oracle: it never
 touches the tableau, crystal, or picture code paths, so agreement between
@@ -28,8 +29,8 @@ from functools import lru_cache
 from operator import index
 from typing import Iterable, Iterator, NamedTuple
 
-from .pictures import (Picture, SizeMismatch, TotalOrder, _row_reading,
-                       enumerate_admissible_orders, enumerate_pictures, is_picture)
+from .pictures import (Picture, SizeMismatch, TotalOrder, _picture_targets, _row_reading,
+                       enumerate_admissible_orders, is_picture)
 from .shapes import (Cell, NotContained, Partition, SkewShape, Value, cached_attribute, cells,
                      partitions_of, subpartitions)
 from .tableaux import (Tableau, _pruned_fillings, _row_cutter, _row_lengths, _tableaux_of,
@@ -127,23 +128,22 @@ def phi(pic: Picture, inst: LRInstance) -> Tableau:
     """Turn a picture into a tableau by taking the row coordinate of each image."""
     if not is_picture(pic, *inst._row_readings):
         raise NotAPicture("the pairing is not a picture for this instance")
-    return Tableau(inst.mu, _row_cutter(inst.mu)(_phi(pic, inst)))
+    return Tableau(inst.mu, _row_cutter(inst.mu)(_phi(pic.image(), inst)))
 
 
-def _phi(pic: Picture, inst: LRInstance) -> tuple[int, ...]:
-    """phi with no check, as mu's entries: pairs sorted by source run row-major
-    over mu, so their target rows are its entries in row-major order."""
-    return tuple([target[0] for _, target in pic.pairs])
+def _phi(targets: tuple[Cell, ...], inst: LRInstance) -> tuple[int, ...]:
+    """phi with no check, from a picture's targets to mu's entries: the targets
+    run row-major over mu, so their rows are its entries in row-major order."""
+    return tuple([target[0] for target in targets])
 
 
-def _psi(entries: tuple[int, ...], inst: LRInstance) -> Picture | None:
-    """psi with no check, on mu's row-major entries: each cell of mu goes to the
-    cell where its letter lands as the row reading adds onto lam, pairs sorted
-    by source; None if the reading does not land on nu."""
+def _psi(entries: tuple[int, ...], inst: LRInstance) -> tuple[Cell, ...] | None:
+    """psi with no check, from mu's row-major entries to the picture's targets:
+    each cell of mu goes to the cell where its letter lands as the row reading
+    adds onto lam; None if the reading does not land on nu."""
     reading = inst._row_readings[0]
     landed = _landings(reading._gather(entries), inst)
-    return None if landed is None else Picture._unchecked(
-        tuple(zip(reading._key, map(landed.__getitem__, reading._key_positions))))
+    return None if landed is None else tuple(map(landed.__getitem__, reading._key_positions))
 
 
 def psi(tab: Tableau, inst: LRInstance) -> Picture:
@@ -153,10 +153,10 @@ def psi(tab: Tableau, inst: LRInstance) -> Picture:
     is added to lam; a tableau of another shape, or one whose reading does
     not land on nu, is not in the filtered crystal.
     """
-    pic = _psi(sum(tab.rows, ()), inst) if tab.shape == inst.mu else None
-    if pic is None:
+    targets = _psi(sum(tab.rows, ()), inst) if tab.shape == inst.mu else None
+    if targets is None:
         raise NotLRCrystal("the tableau is not in the filtered crystal for this instance")
-    return pic
+    return Picture._unchecked(inst._row_readings[0]._key, targets)
 
 
 class BijectionReport(NamedTuple):
@@ -190,24 +190,23 @@ def verify_bijection(inst: LRInstance) -> BijectionReport:
     suffices.  It shows phi injective into the crystal with psi undoing it,
     so each tableau phi reaches passes the reverse check, and psi sends any
     other one outside the pictures or to a picture that phi sends elsewhere.
-    The maps run unchecked on mu's entries: an image of _phi off the crystal
-    fails membership, _psi meets only crystal fillings, and _psi(entries) == pic
-    pins pic's sources to mu's cells.  The verdict trusts enumerate_pictures.
+    The maps run unchecked between mu's entries and the pictures' targets:
+    an image of _phi off the crystal fails membership, and _psi meets only
+    crystal fillings.  The pictures run in enumerate_pictures' order, and
+    only a counterexample is built as a Picture.  The verdict trusts the
+    picture search.
     """
-    pics = enumerate_pictures(inst.mu, inst.skew_shape)
+    pics = sorted(_picture_targets(inst.mu, inst.skew_shape))
     crystal = set(_fillings(inst))
     lattice = lr_coefficient_lattice(inst)
     matched: set[tuple[int, ...]] = set()
     counterexample = None
-    for pic in pics:
-        entries = _phi(pic, inst)
-        if entries not in crystal:
-            counterexample = {"kind": "phi_image_outside_crystal",
-                              "picture": pic.to_json()}
-            break
-        if _psi(entries, inst) != pic:
-            counterexample = {"kind": "psi_phi_not_identity",
-                              "picture": pic.to_json()}
+    for targets in pics:
+        entries = _phi(targets, inst)
+        if entries not in crystal or _psi(entries, inst) != targets:
+            kind = "psi_phi_not_identity" if entries in crystal else "phi_image_outside_crystal"
+            pic = Picture._unchecked(inst._row_readings[0]._key, targets)
+            counterexample = {"kind": kind, "picture": pic.to_json()}
             break
         matched.add(entries)
     if counterexample is None and len(matched) < len(crystal):
@@ -226,7 +225,7 @@ def verify_bijection(inst: LRInstance) -> BijectionReport:
 
 def lemma_add_check(pic: Picture, inst: LRInstance) -> bool:
     """The picture sends each cell to where the letter phi puts there lands."""
-    return _psi(sum(phi(pic, inst).rows, ()), inst) == pic
+    return _psi(sum(phi(pic, inst).rows, ()), inst) == pic.image()
 
 
 def lemma_destination_check(tab: Tableau, inst: LRInstance) -> bool:
@@ -328,7 +327,7 @@ class CountTriple(NamedTuple):
 def lr_coefficient_all_methods(inst: LRInstance) -> CountTriple:
     """Three independently computed counts; agreement is the headline check."""
     return CountTriple(
-        pictures=len(enumerate_pictures(inst.mu, inst.skew_shape)),
+        pictures=sum(1 for _ in _picture_targets(inst.mu, inst.skew_shape)),
         crystals=sum(1 for _ in _fillings(inst)),
         lattice=lr_coefficient_lattice(inst),
     )
@@ -370,14 +369,13 @@ def conjecture_experiment(inst: LRInstance, codomain_order: TotalOrder,
     the picture set vary with the orders.  The report states whether every
     image is such a picture, whether psi is injective on the filter, and
     whether every picture is hit.  An image is such a picture exactly when
-    enumerate_pictures, which returns every picture of the pair, lists it:
-    both sort their pairs by source, so equal pairings are equal Pictures.
-    A filling whose row reading does not land on nu has the image None,
-    which no pair lists.
+    the picture search, which yields every picture of the pair, yields it:
+    both give a pairing as its targets, the images of mu's cells in
+    row-major order, so equal pairings are equal tuples.  A filling whose
+    row reading does not land on nu has the image None, which no pair yields.
     """
     images = [_psi(entries, inst) for entries in _fillings(inst, domain_order)]
-    pics = set(enumerate_pictures(inst.mu, inst.skew_shape,
-                                  domain_order, codomain_order))
+    pics = set(_picture_targets(inst.mu, inst.skew_shape, domain_order, codomain_order))
     image_set = set(images)
     return ConjectureReport(
         inst, codomain_order, domain_order,
@@ -457,9 +455,10 @@ def sweep(max_size: int) -> SweepReport:
 def conjecture_rows(inst: LRInstance) -> tuple[ConjectureReport, ...]:
     """The conjecture experiment on every admissible (codomain, domain)
     order pair of one instance, codomain orders outermost."""
+    domains = enumerate_admissible_orders(cells(inst.mu))
     return tuple(conjecture_experiment(inst, codomain, domain)
                  for codomain in enumerate_admissible_orders(inst.skew_shape.cells())
-                 for domain in enumerate_admissible_orders(cells(inst.mu)))
+                 for domain in domains)
 
 
 def conjecture_sweep(max_size: int) -> tuple[ConjectureReport, ...]:

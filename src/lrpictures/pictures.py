@@ -13,7 +13,8 @@ directions.
 TotalOrder(...), Picture(...) and the order listing canonicalise every
 coordinate with operator.index, so a non-integral one raises TypeError, and
 Picture sorts its pairs and rejects a repeated source or target.  Row
-readings, listed orders and searched pictures are built via _unchecked.
+readings, listed orders and enumerate_pictures' pictures are built via
+_unchecked; the search under it, _picture_targets, yields target tuples.
 
 A TotalOrder keeps what the searches derive from it until it is freed: its
 sorted cells and admissibility, set at the start on row readings and listed
@@ -29,7 +30,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from functools import lru_cache
 from operator import index, itemgetter
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .shapes import Cell, Partition, SkewShape, Value, cached_attribute, cells
 
@@ -355,12 +356,12 @@ class Picture(Value):
         object.__setattr__(self, "pairs", pairs)
 
     @classmethod
-    def _unchecked(cls, pairs: tuple[tuple[Cell, Cell], ...]) -> Picture:
-        """A picture built without __init__'s checks: the caller guarantees that
-        pairs holds cells of two ints, sorted by source, with no source and no
-        target repeated."""
+    def _unchecked(cls, sources: tuple[Cell, ...], targets: tuple[Cell, ...]) -> Picture:
+        """The picture pairing sources with targets, built without __init__'s
+        checks: the caller guarantees cells of two ints, sources sorted, and no
+        source and no target repeated."""
         pic = object.__new__(cls)
-        object.__setattr__(pic, "pairs", pairs)
+        object.__setattr__(pic, "pairs", tuple(zip(sources, targets)))
         return pic
 
     # Value's pair on the field directly: round trips and order-pair sets compare pictures
@@ -422,15 +423,29 @@ def is_picture(pairing, domain_order: TotalOrder, codomain_order: TotalOrder) ->
 def enumerate_pictures(mu: Partition | SkewShape, skew_shape: SkewShape,
                        domain_order: TotalOrder | None = None,
                        codomain_order: TotalOrder | None = None) -> tuple[Picture, ...]:
-    """All pictures from the cells of mu onto the skew cells.
+    """All pictures from the cells of mu onto the skew cells, sorted by pair list.
 
     Either side may be a partition or a skew shape.  The orders default to
     their shared row readings (_row_reading); any listing of a side's cells
-    is accepted, and is checked against that reading.  Sources are placed
-    in domain-listing order; an image must follow the images of the placed
-    neighbours above and left, precede those below and right, and find the
-    skew cells above and left of it taken.  Both shapes are convex, so
-    these constant-time tests are exactly the two standardness conditions.
+    is accepted, and is checked against that reading.  All pictures share
+    their sources, so sorting _picture_targets' target tuples sorts them.
+    """
+    found = sorted(_picture_targets(mu, skew_shape, domain_order, codomain_order))
+    sources = _row_reading(mu)._key
+    return tuple([Picture._unchecked(sources, targets) for targets in found])
+
+
+def _picture_targets(mu: Partition | SkewShape, skew_shape: SkewShape,
+                     domain_order: TotalOrder | None = None,
+                     codomain_order: TotalOrder | None = None) -> Iterator[tuple[Cell, ...]]:
+    """enumerate_pictures' search: it checks its arguments as it starts, then
+    yields each picture's targets, the images of mu's cells in row-major order.
+
+    Sources are placed in domain-listing order; an image must follow the
+    images of the placed neighbours above and left, precede those below
+    and right, and find the skew cells above and left of it taken.  Both
+    shapes are convex, so these constant-time tests are exactly the two
+    standardness conditions.
 
     The targets passing the second test form the frontier, a bit mask
     over codomain positions: taking a target removes it and adds each
@@ -444,8 +459,7 @@ def enumerate_pictures(mu: Partition | SkewShape, skew_shape: SkewShape,
     after t's image, so position q needs at least before[t] free positions
     below it and after[t] above it.  That holds for any listing, so the
     cut loses no picture, and it stops a level at the first q with too
-    few above, since that number only falls as q grows.  Output is sorted
-    by pair list.
+    few above, since that number only falls as q grows.
     """
     domain_reading, codomain_reading = _row_reading(mu), _row_reading(skew_shape)
     if len(domain_reading) != len(codomain_reading):
@@ -460,7 +474,7 @@ def enumerate_pictures(mu: Partition | SkewShape, skew_shape: SkewShape,
     if codomain_order._key != codomain_reading._key:
         raise OrderCellMismatch("codomain order must list the skew cells")
 
-    sources, source_positions = domain_order._key, domain_order._key_positions
+    source_positions = domain_order._key_positions
     listing = codomain_order.cells
     n = len(listing)
     nbrs, before, after = domain_order._domain_tables
@@ -471,12 +485,10 @@ def enumerate_pictures(mu: Partition | SkewShape, skew_shape: SkewShape,
     images = [-1] * (n + 1)
     # choices[t]: the frontier positions source t has yet to try
     choices = [0] * n
-    found: list[Picture] = []
     t = 0
     while t >= 0:
         if t == n:
-            found.append(Picture._unchecked(
-                tuple(zip(sources, [listing[images[s]] for s in source_positions]))))
+            yield tuple([listing[images[s]] for s in source_positions])
             t -= 1
             continue
         q = images[t]
@@ -514,4 +526,3 @@ def enumerate_pictures(mu: Partition | SkewShape, skew_shape: SkewShape,
         else:
             images[t] = -1
             t -= 1
-    return tuple(sorted(found, key=lambda picture: picture.pairs))

@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 from lrpictures import cli, lr
 from lrpictures.lr import (BijectionReport, ConjectureReport, LRInstance, NotAPicture,
                            NotLRCrystal, RankTooSmall, _landings, _psi,
-                           conjecture_experiment, conjecture_sweep,
+                           conjecture_experiment, conjecture_rows, conjecture_sweep,
                            decompose_tensor, instances_of_size, iter_instances,
                            lemma_add_check, lemma_destination_check,
                            lr_coefficient_all_methods, lr_coefficient_lattice,
                            lr_filter, phi, psi, sweep, verify_bijection)
 from lrpictures.pictures import (OrderCellMismatch, OrderNotAdmissible, Picture,
-                                 SizeMismatch, TotalOrder, enumerate_admissible_orders,
-                                 enumerate_pictures, is_picture)
+                                 SizeMismatch, TotalOrder, _picture_targets,
+                                 enumerate_admissible_orders, enumerate_pictures, is_picture)
 from lrpictures.shapes import (NotContained, Partition, add_sequence, cells, partitions_of,
                                subpartitions)
 from lrpictures.tableaux import (ColumnNotStrictlyIncreasing, RowNotWeaklyIncreasing,
@@ -385,7 +385,8 @@ def reference_experiment(inst, codomain_order, domain_order):
     it tested membership in the pair's enumerated pictures."""
     tabs = lr_filter(inst, domain_order)
     pics = set(enumerate_pictures(inst.mu, inst.skew_shape, domain_order, codomain_order))
-    images = [_psi(sum(tab.rows, ()), inst) for tab in tabs]
+    images = [None if targets is None else Picture(tuple(zip(cells(inst.mu), targets)))
+              for targets in (_psi(sum(tab.rows, ()), inst) for tab in tabs)]
     image_set = set(images)
     return ConjectureReport(
         inst, codomain_order, domain_order, crystals=len(tabs), pictures=len(pics),
@@ -404,8 +405,8 @@ def test_conjecture_experiment_matches_the_is_picture_reference():
 
 def test_a_psi_image_missing_from_the_pictures_is_not_well_defined(monkeypatch):
     inst = ref_instance()
-    real_enumerate = lr.enumerate_pictures
-    monkeypatch.setattr(lr, "enumerate_pictures", lambda *args: real_enumerate(*args)[1:])
+    real_targets = lr._picture_targets
+    monkeypatch.setattr(lr, "_picture_targets", lambda *args: sorted(real_targets(*args))[1:])
     row = conjecture_experiment(inst, TotalOrder.jay(inst.skew_shape.cells()),
                                 TotalOrder.jay(cells(inst.mu)))
     assert (row.crystals, row.pictures) == (2, 1)
@@ -438,7 +439,8 @@ def test_bijection_report_shape_for_failures():
 # Faults injected into the names verify_bijection looks up in lrpictures.lr,
 # on the reference instance (c = 2).  The pictures come out as
 # (REF_PIC_FOR_T2, REF_PIC_FOR_T) and the tableaux as (REF_T, REF_T2); the
-# check reads each tableau as its row-major entries.
+# check reads each tableau as its row-major entries and each picture as its
+# targets, the images of mu's cells in row-major order.
 
 def entries(tab):
     return sum(tab.rows, ())
@@ -458,7 +460,7 @@ def test_a_tableau_missing_from_the_filter_is_named_by_its_picture(monkeypatch):
 
 
 def test_a_constant_psi_fails_on_the_first_picture_it_misses(monkeypatch):
-    assert injected_report(monkeypatch, _psi=lambda tab, inst: REF_PIC_FOR_T2) == {
+    assert injected_report(monkeypatch, _psi=lambda tab, inst: REF_PIC_FOR_T2.image()) == {
         "kind": "psi_phi_not_identity", "picture": REF_PIC_FOR_T.to_json()}
 
 
@@ -471,7 +473,7 @@ def test_a_psi_that_ignores_lam_fails_on_the_first_picture(monkeypatch):
 
 def test_a_picture_missing_from_the_enumeration_is_named_by_its_tableau(monkeypatch):
     assert injected_report(monkeypatch,
-                           enumerate_pictures=lambda mu, skew: (REF_PIC_FOR_T,)) == {
+                           _picture_targets=lambda mu, skew: (REF_PIC_FOR_T.image(),)) == {
         "kind": "psi_image_outside_pictures", "tableau": REF_T2.to_json()}
 
 
@@ -481,7 +483,7 @@ def test_an_extra_tableau_sent_to_a_reached_picture(monkeypatch):
     assert injected_report(
         monkeypatch,
         _fillings=lambda inst: [*real_fillings(inst), entries(stray)],
-        _psi=lambda filling, inst: (REF_PIC_FOR_T2 if filling == entries(stray)
+        _psi=lambda filling, inst: (REF_PIC_FOR_T2.image() if filling == entries(stray)
                                     else real_psi(filling, inst))) == {
         "kind": "phi_psi_not_identity", "tableau": stray.to_json()}
 
@@ -491,7 +493,7 @@ def test_a_non_semistandard_phi_image_is_judged_by_membership(monkeypatch):
     unsorted = (2, 2, 1, 4, 3)
     inst = ref_instance()
     assert _landings(inst._row_readings[0]._gather(unsorted), inst) is not None
-    assert injected_report(monkeypatch, _phi=lambda pic, inst: unsorted) == {
+    assert injected_report(monkeypatch, _phi=lambda targets, inst: unsorted) == {
         "kind": "phi_image_outside_crystal", "picture": REF_PIC_FOR_T2.to_json()}
 
 
@@ -558,6 +560,81 @@ def test_the_checks_build_no_tableau_on_a_passing_instance(monkeypatch):
     phi(enumerate_pictures(inst.mu, inst.skew_shape)[0], inst)
     lr_filter(inst)
     assert built == {"__init__": 1, "_unchecked": 176}
+
+
+def test_the_checks_build_no_picture_on_a_passing_instance(monkeypatch):
+    built = Counter()
+    real_init, real_unchecked = Picture.__init__, Picture._unchecked.__func__
+
+    def init(self, *args):
+        built["__init__"] += 1
+        real_init(self, *args)
+
+    def unchecked(cls, *args):
+        built["_unchecked"] += 1
+        return real_unchecked(cls, *args)
+
+    monkeypatch.setattr(Picture, "__init__", init)
+    monkeypatch.setattr(Picture, "_unchecked", classmethod(unchecked))
+    stair = Partition((5, 4, 3, 2, 1))
+    inst = LRInstance(stair, stair, Partition((8, 6, 5, 4, 3, 2, 1, 1)))
+    domain, codomain = inst._row_readings
+    assert verify_bijection(inst).ok
+    assert conjecture_experiment(inst, codomain, domain).holds
+    assert lr_coefficient_all_methods(inst) == (176, 176, 176)
+    assert not built
+    # the counters do see the pictures the public API returns
+    pics = enumerate_pictures(inst.mu, inst.skew_shape)
+    psi(phi(pics[0], inst), inst)
+    Picture(pics[0].pairs)
+    assert built == {"__init__": 1, "_unchecked": 177}
+
+
+def test_a_picture_yielded_twice_is_counted_twice(monkeypatch):
+    real_targets = lr._picture_targets
+    assert injected_report(
+        monkeypatch,
+        _picture_targets=lambda mu, skew: [*real_targets(mu, skew), REF_PIC_FOR_T.image()]) == {
+        "kind": "count_mismatch", "pictures": 3, "crystals": 2, "lattice": 2}
+
+
+def _checked_pictures(targets, inst):
+    """The pictures of the target tuples, through the checked constructor,
+    sorted by pair list as enumerate_pictures promises."""
+    return tuple(sorted((Picture(tuple(zip(cells(inst.mu), t))) for t in targets),
+                        key=lambda pic: pic.pairs))
+
+
+def test_enumerate_pictures_is_the_sorted_stream_under_the_row_readings():
+    for inst in iter_instances(8):
+        stream = list(_picture_targets(inst.mu, inst.skew_shape))
+        assert len(set(stream)) == len(stream)
+        assert enumerate_pictures(inst.mu, inst.skew_shape) == _checked_pictures(stream, inst)
+
+
+def test_enumerate_pictures_is_the_sorted_stream_under_every_order_pair():
+    for inst in iter_instances(6):
+        for codomain in enumerate_admissible_orders(inst.skew_shape.cells()):
+            for domain in enumerate_admissible_orders(cells(inst.mu)):
+                stream = list(_picture_targets(inst.mu, inst.skew_shape, domain, codomain))
+                assert len(set(stream)) == len(stream)
+                assert (enumerate_pictures(inst.mu, inst.skew_shape, domain, codomain)
+                        == _checked_pictures(stream, inst))
+
+
+def test_conjecture_rows_list_each_sides_orders_once(monkeypatch):
+    calls = Counter()
+    real_orders = lr.enumerate_admissible_orders
+
+    def counted(cell_set):
+        cell_set = tuple(cell_set)
+        calls[cell_set] += 1
+        return real_orders(cell_set)
+    monkeypatch.setattr(lr, "enumerate_admissible_orders", counted)
+    inst = LRInstance(Partition(()), Partition((3, 3)), Partition((4, 2)))
+    # 2 admissible orders on the cells of nu, 5 on those of mu
+    assert len(conjecture_rows(inst)) == 2 * 5
+    assert calls == {tuple(inst.skew_shape.cells()): 1, tuple(cells(inst.mu)): 1}
 
 
 def _read_and_add(tab, lam, order=None):

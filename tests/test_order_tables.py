@@ -78,7 +78,9 @@ def test_reused_orders_give_what_fresh_copies_give():
                 assert tabs == lr_filter(inst, new_domain)
                 assert report == conjecture_experiment(inst, new_codomain, new_domain)
                 images = [_psi(sum(tab.rows, ()), inst) for tab in tabs]
-                for pic in [image for image in images if image is not None] + list(pics):
+                pairings = [tuple(zip(cells(inst.mu), image)) for image in images
+                            if image is not None]
+                for pic in pairings + list(pics):
                     assert (is_picture(pic, domain, codomain)
                             == is_picture(pic, new_domain, new_codomain))
 
