@@ -90,19 +90,19 @@ def _yn(flag: bool) -> str:
 
 
 @lru_cache(maxsize=None)
-def _order_indices(cell_set: tuple) -> dict[TotalOrder, int]:
-    """Each admissible order on the cells, with its index in their listing."""
-    return {order: k for k, order in enumerate(enumerate_admissible_orders(cell_set))}
+def _order_indices(cell_set: tuple) -> dict[tuple, int]:
+    """Each admissible order's listing of the cells, with its index in their listing."""
+    return {order.cells: k for k, order in enumerate(enumerate_admissible_orders(cell_set))}
 
 
 def _order_tags(order: TotalOrder, cell_set: tuple) -> list[str]:
-    """Which of the two reading orders, jay and eff, the order equals."""
-    return [tag for tag in ("jay", "eff") if order == resolve_order(tag, cell_set)]
+    """Which of the two reading orders, jay and eff, list the cells as the order does."""
+    return [tag for tag in ("jay", "eff") if order.cells == resolve_order(tag, cell_set).cells]
 
 
 @lru_cache(maxsize=None)
 def _order_label(order: TotalOrder, cell_set: tuple) -> str:
-    index = _order_indices(cell_set)[order]
+    index = _order_indices(cell_set)[order.cells]
     tags = _order_tags(order, cell_set)
     return f"{index}:{'+'.join(tags)}" if tags else str(index)
 

@@ -81,7 +81,8 @@ class LRInstance(Value):
 
     @cached_attribute
     def _row_readings(self) -> tuple[TotalOrder, TotalOrder]:
-        """The row readings of mu and of the skew shape, as _row_reading keeps them."""
+        """The row readings of mu and of the skew shape, as _row_reading keeps
+        them under their part tuples; with lam empty they are one order."""
         return _row_reading(self.mu), _row_reading(self.skew_shape)
 
     def to_json(self) -> dict:
@@ -246,6 +247,7 @@ def decompose_tensor(lam: Partition, mu: Partition, rank_bound: int,
     filling search of the crystal filter with no cap; a filling's final
     shape is lam plus its content, so each is counted by content as it comes.
     """
+    rank_bound = index(rank_bound)
     if len(lam) > rank_bound - 1 or len(mu) > rank_bound - 1:
         raise RankTooSmall(f"rank bound {rank_bound} must exceed the rows of both shapes: "
                            f"lambda has {len(lam)}, mu has {len(mu)}")

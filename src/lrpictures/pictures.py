@@ -20,9 +20,11 @@ A TotalOrder keeps what the searches derive from it until it is freed: its
 sorted cells and admissibility, set at the start on row readings and listed
 orders, each cell's listing position, the picture search's tables, the
 filling steps and the reading gather.  Two caches live as long as the
-process: _row_reading holds one row reading per partition and per skew
-shape, and _admissible_orders the whole listing of every cell set it is
-asked about, a search's result: 24,024 orders for the cells of 4,4,4,4.
+process, both keyed on raw tuples so that no lookup hashes a value:
+_row_reading holds one row reading per skew shape's outer and inner part
+tuples, a partition reading as its skew shape over the empty partition,
+and _admissible_orders the whole listing of every cell set it is asked
+about, a search's result: 24,024 orders for the cells of 4,4,4,4.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from functools import lru_cache
 from operator import index, itemgetter
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .shapes import Cell, Partition, SkewShape, Value, cached_attribute, cells
+from .shapes import Cell, Partition, SkewShape, Value, _skew_cells, cached_attribute
 
 
 class OrderCellMismatch(ValueError):
@@ -92,13 +94,6 @@ class TotalOrder(Value):
         order = object.__new__(cls)
         vars(order).update(cells=listing, _key=key, admissible=True)
         return order
-
-    # Value's pair on the field directly: cli._order_tags compares each listed order twice
-    def __eq__(self, other: object) -> bool:
-        return self.cells == other.cells if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.cells,))
 
     @classmethod
     def jay(cls, cell_set: Iterable[Cell]) -> TotalOrder:
@@ -232,11 +227,18 @@ def _build_filling_steps(listing: tuple[Cell, ...], key: tuple[Cell, ...]
                   below[(i, j)]) for i, j in listing)
 
 
-@lru_cache(maxsize=None)
 def _row_reading(shape: Partition | SkewShape) -> TotalOrder:
     """The row reading of a partition's or a skew shape's cells, one order
-    object per shape, so the searches build its tables once per shape."""
-    key = shape.cells() if isinstance(shape, SkewShape) else cells(shape)
+    object per pair of part tuples, a partition's being (parts, ()), so the
+    searches build its tables once per shape and compare no value."""
+    if isinstance(shape, SkewShape):
+        return _skew_row_reading(shape.outer.parts, shape.inner.parts)
+    return _skew_row_reading(shape.parts, ())
+
+
+@lru_cache(maxsize=None)
+def _skew_row_reading(outer: tuple[int, ...], inner: tuple[int, ...]) -> TotalOrder:
+    key = _skew_cells(outer, inner)
     return TotalOrder._unchecked(tuple(sorted(key, key=_jay_key)), key)
 
 
@@ -363,13 +365,6 @@ class Picture(Value):
         pic = object.__new__(cls)
         object.__setattr__(pic, "pairs", tuple(zip(sources, targets)))
         return pic
-
-    # Value's pair on the field directly: round trips and order-pair sets compare pictures
-    def __eq__(self, other: object) -> bool:
-        return self.pairs == other.pairs if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.pairs,))
 
     @cached_attribute
     def mapping(self) -> dict[Cell, Cell]:

@@ -42,7 +42,8 @@ class Value:
     it the rest: equality with a value of the same class only (NotImplemented
     otherwise), the hash of the tuple of field values, the repr
     Name(field=value, ...), refused assignment and deletion, and copies and
-    pickles rebuilt through __init__."""
+    pickles rebuilt through __init__.  No subclass overrides the pair: the
+    searches' caches key on raw tuples, so no search hashes or compares a value."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -88,13 +89,6 @@ class Partition(Value):
         if 0 in parts:
             parts = parts[:parts.index(0)]
         object.__setattr__(self, "parts", parts)
-
-    # Value's pair on the field directly: partitions key _row_reading and enumerate_ssyt
-    def __eq__(self, other: object) -> bool:
-        return self.parts == other.parts if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.parts,))
 
     def __len__(self) -> int:
         return len(self.parts)
@@ -150,14 +144,6 @@ class SkewShape(Value):
         object.__setattr__(shape, "outer", outer)
         object.__setattr__(shape, "inner", inner)
         return shape
-
-    # Value's pair on the fields directly: skew shapes key _row_reading
-    def __eq__(self, other: object) -> bool:
-        return ((self.outer, self.inner) == (other.outer, other.inner)
-                if other.__class__ is self.__class__ else NotImplemented)
-
-    def __hash__(self) -> int:
-        return hash((self.outer, self.inner))
 
     @property
     def size(self) -> int:

@@ -291,6 +291,14 @@ def test_decompose_rank_checks():
         decompose_tensor(Partition((1, 1, 1)), Partition((1,)), 3)
 
 
+def test_decompose_refuses_a_rank_bound_that_is_no_integer():
+    # as LRInstance and verify_embedding do, whatever the shapes
+    for lam, mu in ((Partition((1,)), Partition((1,))), (Partition((2, 1)), Partition((1, 1)))):
+        for rank_bound in (3.0, 2.5, 10.0 ** 7):
+            with pytest.raises(TypeError):
+                decompose_tensor(lam, mu, rank_bound)
+
+
 def test_decompose_multiplicities_match_the_oracle():
     lam, mu = Partition((2, 1)), Partition((2, 1))
     for nu, mult in decompose_tensor(lam, mu, 5).items():

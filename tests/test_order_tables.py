@@ -13,14 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrpictures import lr, pictures, tableaux
+from lrpictures import lr, pictures
 from lrpictures.lr import (LRInstance, _psi, conjecture_experiment,
                            conjecture_rows, iter_instances, lr_coefficient_all_methods,
                            lr_filter, verify_bijection)
 from lrpictures.pictures import (OrderCellMismatch, Picture, TotalOrder,
                                  _build_domain_tables, enumerate_admissible_orders,
                                  enumerate_pictures, is_picture)
-from lrpictures.shapes import Partition, cells, skew
+from lrpictures.shapes import Partition, cells, partitions_of, skew
 
 
 def reference_counts(sources):
@@ -113,9 +113,9 @@ def test_conjecture_rows_build_each_orders_tables_once(monkeypatch):
 
 def test_a_sweep_builds_each_skew_shapes_tables_once(monkeypatch):
     # caches of their own, so that every shape starts without an order or steps
-    reading = lru_cache(maxsize=None)(pictures._row_reading.__wrapped__)
-    for module in (pictures, tableaux, lr):
-        monkeypatch.setattr(module, "_row_reading", reading)
+    monkeypatch.setattr(pictures, "_skew_row_reading",
+                        lru_cache(maxsize=None)(pictures._skew_row_reading.__wrapped__))
+    reading = pictures._row_reading
     codomain_builds = Counter()
 
     def counted_codomain(listing, *rest, build=pictures._build_codomain_tables):
@@ -155,6 +155,15 @@ def test_a_sweep_builds_each_skew_shapes_tables_once(monkeypatch):
     # distinct skew shapes may list the same cells, so count by shape, not by listing
     assert codomain_builds == Counter(TotalOrder.jay(shape.cells()).cells for shape in shapes)
     assert lattice_builds == Counter((shape.outer.parts, shape.inner.parts) for shape in shapes)
+
+
+def test_a_partition_shares_its_row_reading_with_its_skew_shape_over_nothing():
+    empty = Partition(())
+    for shape in (p for total in range(7) for p in partitions_of(total)):
+        assert pictures._row_reading(shape) is pictures._row_reading(skew(shape, empty))
+        # so an instance with lam empty builds one order's tables for both sides
+        domain, codomain = LRInstance(empty, shape, shape)._row_readings
+        assert domain is codomain
 
 
 def test_an_order_with_tables_of_one_shape_is_rejected_for_another():

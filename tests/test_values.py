@@ -15,18 +15,21 @@ import functools
 import pickle
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from lrpictures.lr import (BijectionReport, ConjectureReport, LRInstance, SizeSummary,
-                           SweepReport, iter_instances)
-from lrpictures.pictures import (Picture, TotalOrder, enumerate_admissible_orders,
-                                 enumerate_pictures)
+                           SweepReport, conjecture_rows, iter_instances,
+                           lr_coefficient_all_methods, verify_bijection)
+from lrpictures.pictures import (Picture, TotalOrder, _skew_row_reading,
+                                 enumerate_admissible_orders, enumerate_pictures)
 from lrpictures.shapes import (AdditionResult, AdditionStep, NotContained, Partition,
-                               SkewShape, Value, cached_attribute, partitions_of,
+                               SkewShape, Value, cached_attribute, cells, partitions_of,
                                subpartitions)
 from lrpictures.tableaux import Tableau, Word
+from lrpictures.wordcrystal import verify_embedding
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -249,10 +252,6 @@ def test_the_public_constructors_still_check():
         TotalOrder(((1, 1), (1, 2), (1, 1)))
 
 
-# the types whose equality hot paths run keep a direct-field copy of Value's pair
-KEPT = (Partition, SkewShape, TotalOrder, Picture)
-
-
 def library_values():
     """Values as the library makes them: every partition with at most 5 cells,
     every skew shape inside one, every admissible order on those cells, and
@@ -266,25 +265,47 @@ def library_values():
     return partitions + shapes + orders + pictures
 
 
-def test_the_kept_copies_agree_with_the_base():
-    for cls in (Tableau, Word, LRInstance):
+def test_every_value_type_uses_the_bases_pair():
+    for cls in list(VALUES)[:7]:
         assert cls.__eq__ is Value.__eq__ and cls.__hash__ is Value.__hash__
-    for cls in KEPT:
-        assert "__eq__" in vars(cls) and "__hash__" in vars(cls)
     pool = library_values()
-    assert {type(value) for value in pool} == set(KEPT)
+    made = {Partition, SkewShape, TotalOrder, Picture}
+    assert {type(value) for value in pool} == made
     # twins are equal values that are other objects; a subclass's values are another class
-    subclasses = {cls: type("Sub", (cls,), {}) for cls in KEPT}
+    subclasses = {cls: type("Sub", (cls,), {}) for cls in made}
     others = (pool + [copy.copy(value) for value in pool]
               + [subclasses[type(value)](*value._values()) for value in pool[::7]])
     outcomes = set()
     for a in pool:
         assert hash(a) == Value.__hash__(a)
         for b in others:
-            kept = a.__eq__(b)
-            assert kept == Value.__eq__(a, b)
-            outcomes.add(kept if kept is NotImplemented else bool(kept))
+            equal = a.__eq__(b)
+            assert equal == Value.__eq__(a, b)
+            outcomes.add(equal if equal is NotImplemented else bool(equal))
     assert outcomes == {True, False, NotImplemented}
+
+
+def test_no_search_path_hashes_or_compares_a_value(monkeypatch):
+    # the row readings come from a cache of their own, so each is built here
+    monkeypatch.setattr("lrpictures.pictures._skew_row_reading",
+                        functools.lru_cache(maxsize=None)(_skew_row_reading.__wrapped__))
+    calls = Counter()
+    for cls in list(VALUES)[:7]:
+        for name in ("__eq__", "__hash__"):
+            def counted(*args, key=(cls.__name__, name), method=getattr(cls, name)):
+                calls[key] += 1
+                return method(*args)
+            monkeypatch.setattr(cls, name, counted)
+    for inst in iter_instances(6):
+        assert verify_bijection(inst).ok
+        lr_coefficient_all_methods(inst)
+    for inst in iter_instances(5):
+        assert all(row.holds for row in conjecture_rows(inst))
+    for shape in (p for total in range(6) for p in partitions_of(total)):
+        for order in enumerate_admissible_orders(cells(shape)):
+            for bound in range(5):
+                verify_embedding(shape, bound, order)
+    assert calls == Counter()
 
 
 class Pair(Value):
