@@ -95,15 +95,16 @@ def _order_indices(cell_set: tuple) -> dict[tuple, int]:
     return {order.cells: k for k, order in enumerate(enumerate_admissible_orders(cell_set))}
 
 
-def _order_tags(order: TotalOrder, cell_set: tuple) -> list[str]:
-    """Which of the two reading orders, jay and eff, list the cells as the order does."""
-    return [tag for tag in ("jay", "eff") if order.cells == resolve_order(tag, cell_set).cells]
+def _order_tags(listing: tuple, cell_set: tuple) -> list[str]:
+    """Which of the two reading orders, jay and eff, list the cells as the listing does."""
+    return [tag for tag in ("jay", "eff") if listing == resolve_order(tag, cell_set).cells]
 
 
 @lru_cache(maxsize=None)
-def _order_label(order: TotalOrder, cell_set: tuple) -> str:
-    index = _order_indices(cell_set)[order.cells]
-    tags = _order_tags(order, cell_set)
+def _order_label(listing: tuple, cell_set: tuple) -> str:
+    """An order's label by its listing, so the cache hashes tuples, not orders."""
+    index = _order_indices(cell_set)[listing]
+    tags = _order_tags(listing, cell_set)
     return f"{index}:{'+'.join(tags)}" if tags else str(index)
 
 
@@ -254,7 +255,7 @@ def _cmd_orders(args: SimpleNamespace) -> int:
     else:
         names = {cell: _fmt_cell(cell) for cell in cell_set}
         for index, order in enumerate(listed):
-            tags = _order_tags(order, cell_set)
+            tags = _order_tags(order.cells, cell_set)
             suffix = f" [{','.join(tags)}]" if tags else ""
             print(f"{index}: " + " ".join(map(names.get, order.cells)) + suffix)
         print(f"total={len(everything)}")
@@ -287,8 +288,8 @@ def _cmd_conjecture(args: SimpleNamespace) -> int:
     for count, row in enumerate(rows, 1):
         holds += row.holds
         inst = row.instance
-        codomain = _order_label(row.codomain_order, inst.skew_shape.cells())
-        domain = _order_label(row.domain_order, cells(inst.mu))
+        codomain = _order_label(row.codomain_order.cells, inst.skew_shape.cells())
+        domain = _order_label(row.domain_order.cells, cells(inst.mu))
         print(f"lambda={inst.lam} mu={inst.mu} "
               f"nu={inst.nu} codomain={codomain} domain={domain} "
               f"crystals={row.crystals} pictures={row.pictures} "

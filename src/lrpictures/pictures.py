@@ -216,15 +216,29 @@ def _build_filling_steps(listing: tuple[Cell, ...], key: tuple[Cell, ...]
     """tableaux._pruned_fillings' steps for a listing, one per listed cell:
     its index in the sorted cells (row-major, for a shape), the indices of
     its right neighbour and of the cell above it (-1 for none), and the
-    number of cells below it in its column."""
+    number of cells below it in its column.
+
+    A cell with no right neighbour stores ~r in place of -1, r the cells of
+    the first column listed before it: rows 1..r are then all listed, and
+    no later cell holds an entry <= r.  That rests on "row i holds only
+    entries >= i", true of a straight shape alone, so any other cell set (a
+    skew shape's) keeps r = 0, that is -1, and no row counts as complete."""
     flat = {cell: k for k, cell in enumerate(key)}
     below: dict[Cell, int] = {}
     seen: dict[int, int] = {}
     for i, j in reversed(key):
         below[(i, j)] = seen.get(j, 0)
         seen[j] = below[(i, j)] + 1
-    return tuple((flat[(i, j)], flat.get((i, j + 1), -1), flat.get((i - 1, j), -1),
-                  below[(i, j)]) for i, j in listing)
+    straight = all((i == 1 or (i - 1, j) in flat) and (j == 1 or (i, j - 1) in flat)
+                   for i, j in key)
+    steps = []
+    done = 0
+    for i, j in listing:
+        steps.append((flat[(i, j)], flat.get((i, j + 1), ~done), flat.get((i - 1, j), -1),
+                      below[(i, j)]))
+        if straight and j == 1:
+            done += 1
+    return tuple(steps)
 
 
 def _row_reading(shape: Partition | SkewShape) -> TotalOrder:

@@ -10,6 +10,9 @@ Tableau(...), with its alias make_tableau, and Word(...) check and
 canonicalise their input, so a non-integral entry or coordinate raises
 TypeError.  Only _tableaux_of skips that check, through Tableau._unchecked,
 and only for the fillings of _pruned_fillings, semistandard by construction.
+That search cuts a branch at a box that breaks the partition or outgrows its
+cap and, given a cap, once a finished row of a straight shape mu leaves its
+row of lam short of the cap's; a skew domain would need a cut of its own.
 enumerate_ssyt keeps every tableau of each (shape, bound) it is asked for
 as long as the process lives; verify_embedding streams _ssyt_fillings'
 entries instead, so it neither fills nor reads that cache.
@@ -131,7 +134,10 @@ make_tableau = Tableau
 
 def _row_lengths(top: int, shape: Partition, rank_bound: int) -> list[int]:
     """top, then the shape's first rank_bound parts padded with zeros to rank_bound."""
-    parts = shape.parts[:max(rank_bound, 0)]
+    parts = shape.parts
+    if len(parts) == rank_bound:
+        return [top, *parts]
+    parts = parts[:max(rank_bound, 0)]
     return [top, *parts] + [0] * (rank_bound - len(parts))
 
 
@@ -150,18 +156,33 @@ def _pruned_fillings(mu: Partition, lam: Partition, order: TotalOrder | None,
     it adds up to are lam plus its content.  An entry of 0 marks an
     unplaced cell, so the cursor k steps back to a cell and resumes just
     past its entry.
+
+    A cap must hold |lam| + |mu| boxes, so that every filling ends on it,
+    and then one more cut applies.  In a straight shape mu row i holds only
+    entries >= i, and an admissible listing puts (r, 1) after every cell of
+    rows 1..r, so once (r, 1) is placed row r is final and must reach the
+    cap's row r.  _build_filling_steps marks each cell with no right
+    neighbour with that r, and a short row r cuts the branch there.  Only a
+    straight shape's steps carry an r; a skew domain's would need a cut of
+    its own.  With no cap the target rows are 0 and nothing is cut.
     """
     if order is None:
         order = _row_reading(mu)
     else:
         _check_reading_order(order, mu)
+    if len(mu.parts) > rank_bound:
+        return  # mu's first column needs more than rank_bound entries
     steps = order._filling_steps
-    unbounded = mu.size + lam.size + 1
+    n = len(steps)
+    unbounded = n + lam.size + 1
     # rows[v] is the current length of row v; rows[0] never binds
     rows = _row_lengths(unbounded, lam, rank_bound)
-    limit = ([unbounded] * (rank_bound + 1) if cap is None
-             else _row_lengths(unbounded, cap, rank_bound))
-    n = len(steps)
+    if cap is None:
+        limit = [unbounded] * (rank_bound + 1)
+        need = [0] * (rank_bound + 1)
+    else:
+        # need[r]: the length row r must have once (r, 1) is placed
+        limit = need = _row_lengths(unbounded, cap, rank_bound)
     entries = [0] * n
     k = 0
     while k >= 0:
@@ -176,8 +197,11 @@ def _pruned_fillings(mu: Partition, lam: Partition, order: TotalOrder | None,
             rows[v] -= 1
         elif above >= 0:
             v = entries[above]
-        if right >= 0 and entries[right] < high:
-            high = entries[right]
+        if right >= 0:
+            if entries[right] < high:
+                high = entries[right]
+        elif rows[~right] < need[~right]:
+            high = 0  # row ~right is complete and short of the cap
         v += 1
         # lr._landings' row test, undone here on backtrack
         while v <= high and (rows[v] >= rows[v - 1] or rows[v] >= limit[v]):

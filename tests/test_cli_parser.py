@@ -106,8 +106,8 @@ def test_order_labels_match_the_reference_on_every_cell_set_up_to_six_cells():
     assert len(cell_sets) > 100
     for cell_set in cell_sets:
         for order in enumerate_admissible_orders(cell_set):
-            assert cli._order_tags(order, cell_set) == _reference_tags(order, cell_set)
-            assert cli._order_label(order, cell_set) == _reference_label(order, cell_set)
+            assert cli._order_tags(order.cells, cell_set) == _reference_tags(order, cell_set)
+            assert cli._order_label(order.cells, cell_set) == _reference_label(order, cell_set)
 
 
 def test_conjecture_text_matches_rows_rendered_through_the_reference(capsys):

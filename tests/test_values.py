@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from lrpictures import cli
 from lrpictures.lr import (BijectionReport, ConjectureReport, LRInstance, SizeSummary,
                            SweepReport, conjecture_rows, iter_instances,
                            lr_coefficient_all_methods, verify_bijection)
@@ -285,7 +286,8 @@ def test_every_value_type_uses_the_bases_pair():
     assert outcomes == {True, False, NotImplemented}
 
 
-def test_no_search_path_hashes_or_compares_a_value(monkeypatch):
+def _count_value_calls(monkeypatch):
+    """Count every __eq__ and __hash__ call on the seven value types."""
     # the row readings come from a cache of their own, so each is built here
     monkeypatch.setattr("lrpictures.pictures._skew_row_reading",
                         functools.lru_cache(maxsize=None)(_skew_row_reading.__wrapped__))
@@ -296,6 +298,11 @@ def test_no_search_path_hashes_or_compares_a_value(monkeypatch):
                 calls[key] += 1
                 return method(*args)
             monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_no_search_path_hashes_or_compares_a_value(monkeypatch):
+    calls = _count_value_calls(monkeypatch)
     for inst in iter_instances(6):
         assert verify_bijection(inst).ok
         lr_coefficient_all_methods(inst)
@@ -305,6 +312,16 @@ def test_no_search_path_hashes_or_compares_a_value(monkeypatch):
         for order in enumerate_admissible_orders(cells(shape)):
             for bound in range(5):
                 verify_embedding(shape, bound, order)
+    assert calls == Counter()
+
+
+def test_the_conjecture_verb_hashes_or_compares_no_value(monkeypatch, capsys):
+    # the order labels are cached on listings; empty caches build every label here
+    for cache in (cli._order_indices, cli._order_label, cli.resolve_order):
+        cache.cache_clear()
+    calls = _count_value_calls(monkeypatch)
+    assert cli.run(["conjecture", "--max-size", "5"]) == 0
+    assert capsys.readouterr().out.endswith(" fails=0\n")
     assert calls == Counter()
 
 
