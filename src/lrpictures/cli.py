@@ -212,7 +212,8 @@ def _cmd_verify(args: SimpleNamespace) -> int:
         raise ValueError("--lambda not used: verify without --nu checks the embedding of --mu")
     shape = _partition("--mu", args.mu)
     if args.rank < len(shape):
-        raise ValueError((f"rank {args.rank} below the {len(shape)} rows of {shape}" if shape
+        rows = f"{len(shape)} row{'' if len(shape) == 1 else 's'}"
+        raise ValueError((f"rank {args.rank} below the {rows} of {shape}" if shape
                           else f"rank {args.rank} below 0, the least entry bound")
                          + ": no tableau exists to check")
     order = resolve_order(args.order or "jay", cells(shape))

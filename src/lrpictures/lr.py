@@ -70,10 +70,10 @@ class LRInstance(Value):
         least = max(1, len(nu))
         rank_bound = least if rank_bound is None else index(rank_bound)
         if rank_bound < least:
-            raise RankTooSmall(f"rank bound {rank_bound} below the {len(nu)} rows of the target"
+            rows = f"{len(nu)} row{'' if len(nu) == 1 else 's'}"
+            raise RankTooSmall(f"rank bound {rank_bound} below the {rows} of the target"
                                if nu else f"rank bound {rank_bound} below 1, the least rank bound")
-        for name, value in zip(self._fields, (lam, mu, nu, rank_bound)):
-            object.__setattr__(self, name, value)
+        super().__init__(lam, mu, nu, rank_bound)
 
     @cached_attribute
     def skew_shape(self) -> SkewShape:
@@ -157,7 +157,7 @@ def psi(tab: Tableau, inst: LRInstance) -> Picture:
     targets = _psi(sum(tab.rows, ()), inst) if tab.shape == inst.mu else None
     if targets is None:
         raise NotLRCrystal("the tableau is not in the filtered crystal for this instance")
-    return Picture._unchecked(inst._row_readings[0]._key, targets)
+    return Picture._unchecked(tuple(zip(inst._row_readings[0]._key, targets)))
 
 
 class BijectionReport(NamedTuple):
@@ -206,7 +206,7 @@ def verify_bijection(inst: LRInstance) -> BijectionReport:
         entries = _phi(targets, inst)
         if entries not in crystal or _psi(entries, inst) != targets:
             kind = "psi_phi_not_identity" if entries in crystal else "phi_image_outside_crystal"
-            pic = Picture._unchecked(inst._row_readings[0]._key, targets)
+            pic = Picture._unchecked(tuple(zip(inst._row_readings[0]._key, targets)))
             counterexample = {"kind": kind, "picture": pic.to_json()}
             break
         matched.add(entries)

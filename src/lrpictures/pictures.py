@@ -13,8 +13,9 @@ directions.
 TotalOrder(...), Picture(...) and the order listing canonicalise every
 coordinate with operator.index, so a non-integral one raises TypeError, and
 Picture sorts its pairs and rejects a repeated source or target.  Row
-readings, listed orders and enumerate_pictures' pictures are built via
-_unchecked; the search under it, _picture_targets, yields target tuples.
+readings, listed orders and enumerate_pictures' pictures skip the checks via
+_unchecked (TotalOrder's also presets _key and admissible); the search under
+enumerate_pictures, _picture_targets, yields target tuples.
 
 A TotalOrder keeps what the searches derive from it until it is freed: its
 sorted cells and admissibility, set at the start on row readings and listed
@@ -84,13 +85,12 @@ class TotalOrder(Value):
         listing = tuple((index(r), index(c)) for r, c in cells)
         if len(set(listing)) != len(listing):
             raise ValueError("listing repeats a cell")
-        object.__setattr__(self, "cells", listing)
+        super().__init__(listing)
 
     @classmethod
     def _unchecked(cls, listing: tuple[Cell, ...], key: tuple[Cell, ...]) -> TotalOrder:
-        """An order built without __init__'s checks: the caller guarantees that
-        listing is an admissible listing of distinct cells of two ints, and key
-        those cells sorted.  It starts with _key and admissible set."""
+        """Value._unchecked for an admissible listing whose sorted cells are key:
+        the order starts with _key and admissible set, in one update of its dict."""
         order = object.__new__(cls)
         vars(order).update(cells=listing, _key=key, admissible=True)
         return order
@@ -369,16 +369,7 @@ class Picture(Value):
             raise ValueError("pairing repeats a source cell")
         if len({p[1] for p in pairs}) != len(pairs):
             raise ValueError("pairing repeats a target cell")
-        object.__setattr__(self, "pairs", pairs)
-
-    @classmethod
-    def _unchecked(cls, sources: tuple[Cell, ...], targets: tuple[Cell, ...]) -> Picture:
-        """The picture pairing sources with targets, built without __init__'s
-        checks: the caller guarantees cells of two ints, sources sorted, and no
-        source and no target repeated."""
-        pic = object.__new__(cls)
-        object.__setattr__(pic, "pairs", tuple(zip(sources, targets)))
-        return pic
+        super().__init__(pairs)
 
     @cached_attribute
     def mapping(self) -> dict[Cell, Cell]:
@@ -441,7 +432,7 @@ def enumerate_pictures(mu: Partition | SkewShape, skew_shape: SkewShape,
     """
     found = sorted(_picture_targets(mu, skew_shape, domain_order, codomain_order))
     sources = _row_reading(mu)._key
-    return tuple([Picture._unchecked(sources, targets) for targets in found])
+    return tuple([Picture._unchecked(tuple(zip(sources, targets))) for targets in found])
 
 
 def _picture_targets(mu: Partition | SkewShape, skew_shape: SkewShape,

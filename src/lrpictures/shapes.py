@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from operator import index, le
-from typing import Any, Iterable, Iterator, NamedTuple
+from typing import Any, Iterable, Iterator, NamedTuple, TypeVar
 
 Cell = tuple[int, int]
+V = TypeVar("V", bound="Value")
 
 
 class cached_attribute(cached_property):
@@ -38,15 +39,28 @@ class NotContained(ValueError):
 
 class Value:
     """Base of the validated value types.  A subclass names its fields in
-    _fields and sets them once in __init__ past __setattr__.  The base gives
-    it the rest: equality with a value of the same class only (NotImplemented
-    otherwise), the hash of the tuple of field values, the repr
-    Name(field=value, ...), refused assignment and deletion, and copies and
-    pickles rebuilt through __init__.  No subclass overrides the pair: the
-    searches' caches key on raw tuples, so no search hashes or compares a value."""
+    _fields, and its __init__ checks and canonicalises its arguments before
+    Value.__init__ sets the fields in order past __setattr__.  _unchecked
+    builds a value, without those checks, from field values that the caller
+    guarantees are what __init__ would set.  The base gives the rest: equality
+    with a value of the same class only (NotImplemented otherwise), the hash of
+    the tuple of field values, the repr Name(field=value, ...), refused
+    assignment and deletion, and copies and pickles rebuilt through the checked
+    __init__.  No subclass overrides the pair: the searches' caches key on raw
+    tuples, so no search hashes or compares a value."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values: object) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _unchecked(cls: type[V], *values: object) -> V:
+        value = object.__new__(cls)
+        Value.__init__(value, *values)
+        return value
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -88,7 +102,7 @@ class Partition(Value):
         # the parts weakly decrease, so every part from the first zero on is zero
         if 0 in parts:
             parts = parts[:parts.index(0)]
-        object.__setattr__(self, "parts", parts)
+        super().__init__(parts)
 
     def __len__(self) -> int:
         return len(self.parts)
@@ -134,16 +148,7 @@ class SkewShape(Value):
     def __init__(self, outer: Partition, inner: Partition) -> None:
         if not outer.contains(inner):
             raise NotContained(f"inner shape {inner} does not fit inside outer shape {outer}")
-        object.__setattr__(self, "outer", outer)
-        object.__setattr__(self, "inner", inner)
-
-    @classmethod
-    def _unchecked(cls, outer: Partition, inner: Partition) -> SkewShape:
-        """SkewShape(outer, inner) without the check: the caller knows outer contains inner."""
-        shape = object.__new__(cls)
-        object.__setattr__(shape, "outer", outer)
-        object.__setattr__(shape, "inner", inner)
-        return shape
+        super().__init__(outer, inner)
 
     @property
     def size(self) -> int:

@@ -8,7 +8,7 @@ row and column readings are its two named cases.
 
 Tableau(...), with its alias make_tableau, and Word(...) check and
 canonicalise their input, so a non-integral entry or coordinate raises
-TypeError.  Only _tableaux_of skips that check, through Tableau._unchecked,
+TypeError.  Only _tableaux_of skips that check, through Value._unchecked,
 and only for the fillings of _pruned_fillings, semistandard by construction.
 That search cuts a branch at a box that breaks the partition or outgrows its
 cap and, given a cap, once a finished row of a straight shape mu leaves its
@@ -70,19 +70,7 @@ class Tableau(Value):
                 if i > 0 and rows[i - 1][j] >= value:
                     raise ColumnNotStrictlyIncreasing(
                         f"column {j + 1} has {rows[i - 1][j]} above {value}")
-        _set_shape(self, shape)
-        _set_rows(self, rows)
-
-    @classmethod
-    def _unchecked(cls, shape: Partition, rows: tuple[tuple[int, ...], ...]) -> Tableau:
-        """A tableau built without __init__'s checks: the caller guarantees that
-        rows is a tuple of tuples of ints, one per part of the shape and as long
-        as it, with positive entries weakly increasing along rows and strictly
-        increasing down columns.  The slots are set past the frozen __setattr__."""
-        tab = object.__new__(cls)
-        _set_shape(tab, shape)
-        _set_rows(tab, rows)
-        return tab
+        super().__init__(shape, rows)
 
     def entry(self, cell: Cell) -> int:
         i, j = cell
@@ -102,10 +90,6 @@ class Tableau(Value):
         return {"shape": self.shape.to_json(), "rows": [list(r) for r in self.rows]}
 
 
-_set_shape = Tableau.__dict__["shape"].__set__
-_set_rows = Tableau.__dict__["rows"].__set__
-
-
 class Word(Value):
     """Letters read from a tableau, paired with the cell each came from."""
 
@@ -118,8 +102,7 @@ class Word(Value):
             raise ValueError("letters and source cells must have equal length")
         if len(set(sources)) != len(sources):
             raise ValueError("source cells repeat")
-        object.__setattr__(self, "letters", letters)
-        object.__setattr__(self, "source_cells", sources)
+        super().__init__(letters, sources)
 
     def __len__(self) -> int:
         return len(self.letters)

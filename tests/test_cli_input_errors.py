@@ -118,3 +118,16 @@ def test_the_rank_floor_of_an_empty_shape_names_the_bound_it_enforces(capsys, ra
     assert (code, out) == (2, "")
     assert err == (f"error: rank {rank} below 0, the least entry bound: "
                    "no tableau exists to check\n")
+
+
+def test_the_rank_floor_of_a_one_row_target_says_row(capsys):
+    code, out, err = run(capsys, "count", "--lambda", "-", "--mu", "2", "--nu", "2",
+                         "--rank", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: rank bound 0 below the 1 row of the target\n"
+
+
+def test_the_rank_floor_of_a_one_row_shape_says_row(capsys):
+    code, out, err = run(capsys, "verify", "--mu", "3", "--rank", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: rank 0 below the 1 row of 3: no tableau exists to check\n"

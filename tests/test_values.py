@@ -143,6 +143,43 @@ def test_copies_and_pickles_are_equal(cls, duplicate):
     assert field_values(twin) == field_values(value)
 
 
+# TotalOrder._unchecked also takes the listing's sorted cells, which it presets
+PRESETS = {TotalOrder: (ORDER._key,)}
+
+
+@pytest.mark.parametrize("cls", list(VALUES)[:7], ids=lambda cls: cls.__name__)
+def test_an_unchecked_value_is_the_checked_one(cls, monkeypatch):
+    value = VALUES[cls]
+    checked = []
+    real_init = cls.__init__
+
+    def init(self, *args):
+        checked.append(args)
+        real_init(self, *args)
+
+    monkeypatch.setattr(cls, "__init__", init)
+    unchecked = cls._unchecked(*field_values(value), *PRESETS.get(cls, ()))
+    assert not checked
+    assert type(unchecked) is cls
+    assert unchecked == value and hash(unchecked) == hash(value)
+    assert repr(unchecked) == repr(value)
+    for name in FIELDS[cls]:
+        with pytest.raises(AttributeError):
+            setattr(unchecked, name, getattr(value, name))
+        assert getattr(unchecked, name) is getattr(value, name)
+    for duplicate in (copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))):
+        twin = duplicate(unchecked)
+        assert type(twin) is cls
+        assert twin == value and hash(twin) == hash(value)
+    # each duplicate is rebuilt through the checked __init__
+    assert checked == [field_values(value)] * 3
+
+
+def test_only_total_order_overrides_the_unchecked_constructor():
+    assert "_unchecked" in vars(Value)
+    assert [cls for cls in list(VALUES)[:7] if "_unchecked" in vars(cls)] == [TotalOrder]
+
+
 @pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy,
                                        lambda value: pickle.loads(pickle.dumps(value))],
                          ids=["copy", "deepcopy", "pickle"])
