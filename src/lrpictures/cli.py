@@ -89,23 +89,19 @@ def _yn(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-@lru_cache(maxsize=None)
-def _order_indices(cell_set: tuple) -> dict[tuple, int]:
-    """Each admissible order's listing of the cells, with its index in their listing."""
-    return {order.cells: k for k, order in enumerate(enumerate_admissible_orders(cell_set))}
-
-
 def _order_tags(listing: tuple, cell_set: tuple) -> list[str]:
     """Which of the two reading orders, jay and eff, list the cells as the listing does."""
     return [tag for tag in ("jay", "eff") if listing == resolve_order(tag, cell_set).cells]
 
 
 @lru_cache(maxsize=None)
-def _order_label(listing: tuple, cell_set: tuple) -> str:
-    """An order's label by its listing, so the cache hashes tuples, not orders."""
-    index = _order_indices(cell_set)[listing]
-    tags = _order_tags(listing, cell_set)
-    return f"{index}:{'+'.join(tags)}" if tags else str(index)
+def _order_labels(cell_set: tuple) -> dict[tuple, str]:
+    """Each admissible order's label, its index and reading tags, keyed on its listing."""
+    labels = {}
+    for index, order in enumerate(enumerate_admissible_orders(cell_set)):
+        tags = "+".join(_order_tags(order.cells, cell_set))
+        labels[order.cells] = f"{index}:{tags}" if tags else str(index)
+    return labels
 
 
 def _nonnegative(flag: str, value: int) -> int:
@@ -289,8 +285,8 @@ def _cmd_conjecture(args: SimpleNamespace) -> int:
     for count, row in enumerate(rows, 1):
         holds += row.holds
         inst = row.instance
-        codomain = _order_label(row.codomain_order.cells, inst.skew_shape.cells())
-        domain = _order_label(row.domain_order.cells, cells(inst.mu))
+        codomain = _order_labels(inst.skew_shape.cells())[row.codomain_order.cells]
+        domain = _order_labels(cells(inst.mu))[row.domain_order.cells]
         print(f"lambda={inst.lam} mu={inst.mu} "
               f"nu={inst.nu} codomain={codomain} domain={domain} "
               f"crystals={row.crystals} pictures={row.pictures} "

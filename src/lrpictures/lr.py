@@ -11,10 +11,10 @@ one walk, and it tells psi's domain by landing on nu or not.
 
 The public maps check their input: phi that it is given a picture, and
 it validates its tableau; psi that its tableau has shape mu and lands.
-Their check-free twins _phi and _psi map a picture's targets, as
-_picture_targets yields them, to and from mu's entry tuples, as _fillings
-yields the crystal; the three checks read both sides so, build no Picture,
-and judge the images by membership in the enumerated sides.
+Their check-free twins _phi and _psi map a picture's targets, which
+_picture_targets yields from the instance's two row readings, to and from
+mu's entry tuples, which _fillings yields; the three checks read both sides
+so, build no Picture or SkewShape, and judge images by membership in them.
 
 lr_coefficient_lattice is a deliberately separate oracle: it never
 touches the tableau, crystal, or picture code paths, so agreement between
@@ -29,7 +29,8 @@ from functools import lru_cache
 from operator import index
 from typing import Iterable, Iterator, NamedTuple
 
-from .pictures import (Picture, SizeMismatch, TotalOrder, _picture_targets, _row_reading,
+from . import pictures
+from .pictures import (OrderCellMismatch, Picture, SizeMismatch, TotalOrder, _picture_targets,
                        enumerate_admissible_orders, is_picture)
 from .shapes import (Cell, NotContained, Partition, SkewShape, Value, cached_attribute, cells,
                      partitions_of, subpartitions)
@@ -77,13 +78,14 @@ class LRInstance(Value):
 
     @cached_attribute
     def skew_shape(self) -> SkewShape:
-        return SkewShape._unchecked(self.nu, self.lam)  # __init__ checked that nu contains lam
+        return SkewShape(self.nu, self.lam)
 
     @cached_attribute
     def _row_readings(self) -> tuple[TotalOrder, TotalOrder]:
-        """The row readings of mu and of the skew shape, as _row_reading keeps
-        them under their part tuples; with lam empty they are one order."""
-        return _row_reading(self.mu), _row_reading(self.skew_shape)
+        """The row readings of mu and of the skew shape nu/lam, read from their
+        part tuples as _row_reading keeps them; with lam empty they are one order."""
+        read = pictures._skew_row_reading
+        return read(self.mu.parts, ()), read(self.nu.parts, self.lam.parts)
 
     def to_json(self) -> dict:
         return {"lambda": self.lam.to_json(), "mu": self.mu.to_json(),
@@ -197,7 +199,7 @@ def verify_bijection(inst: LRInstance) -> BijectionReport:
     only a counterexample is built as a Picture.  The verdict trusts the
     picture search.
     """
-    pics = sorted(_picture_targets(inst.mu, inst.skew_shape))
+    pics = sorted(_picture_targets(*inst._row_readings))
     crystal = set(_fillings(inst))
     lattice = lr_coefficient_lattice(inst)
     matched: set[tuple[int, ...]] = set()
@@ -329,7 +331,7 @@ class CountTriple(NamedTuple):
 def lr_coefficient_all_methods(inst: LRInstance) -> CountTriple:
     """Three independently computed counts; agreement is the headline check."""
     return CountTriple(
-        pictures=sum(1 for _ in _picture_targets(inst.mu, inst.skew_shape)),
+        pictures=sum(1 for _ in _picture_targets(*inst._row_readings)),
         crystals=sum(1 for _ in _fillings(inst)),
         lattice=lr_coefficient_lattice(inst),
     )
@@ -375,9 +377,12 @@ def conjecture_experiment(inst: LRInstance, codomain_order: TotalOrder,
     both give a pairing as its targets, the images of mu's cells in
     row-major order, so equal pairings are equal tuples.  A filling whose
     row reading does not land on nu has the image None, which no pair yields.
+    The filter checks domain_order; codomain_order must list the skew cells.
     """
     images = [_psi(entries, inst) for entries in _fillings(inst, domain_order)]
-    pics = set(_picture_targets(inst.mu, inst.skew_shape, domain_order, codomain_order))
+    if codomain_order._key != inst._row_readings[1]._key:
+        raise OrderCellMismatch("codomain order must list the skew cells")
+    pics = set(_picture_targets(domain_order, codomain_order))
     image_set = set(images)
     return ConjectureReport(
         inst, codomain_order, domain_order,
@@ -459,7 +464,7 @@ def conjecture_rows(inst: LRInstance) -> tuple[ConjectureReport, ...]:
     order pair of one instance, codomain orders outermost."""
     domains = enumerate_admissible_orders(cells(inst.mu))
     return tuple(conjecture_experiment(inst, codomain, domain)
-                 for codomain in enumerate_admissible_orders(inst.skew_shape.cells())
+                 for codomain in enumerate_admissible_orders(inst._row_readings[1]._key)
                  for domain in domains)
 
 

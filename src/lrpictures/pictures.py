@@ -14,8 +14,8 @@ TotalOrder(...), Picture(...) and the order listing canonicalise every
 coordinate with operator.index, so a non-integral one raises TypeError, and
 Picture sorts its pairs and rejects a repeated source or target.  Row
 readings, listed orders and enumerate_pictures' pictures skip the checks via
-_unchecked (TotalOrder's also presets _key and admissible); the search under
-enumerate_pictures, _picture_targets, yields target tuples.
+_unchecked (TotalOrder's also presets _key and admissible); _picture_targets,
+the search under enumerate_pictures, runs on two listings and yields targets.
 
 A TotalOrder keeps what the searches derive from it until it is freed: its
 sorted cells and admissibility, set at the start on row readings and listed
@@ -430,16 +430,27 @@ def enumerate_pictures(mu: Partition | SkewShape, skew_shape: SkewShape,
     is accepted, and is checked against that reading.  All pictures share
     their sources, so sorting _picture_targets' target tuples sorts them.
     """
-    found = sorted(_picture_targets(mu, skew_shape, domain_order, codomain_order))
-    sources = _row_reading(mu)._key
+    domain_reading, codomain_reading = _row_reading(mu), _row_reading(skew_shape)
+    if len(domain_reading) != len(codomain_reading):
+        raise SizeMismatch(
+            f"{len(domain_reading)} source cells vs {len(codomain_reading)} target cells")
+    if domain_order is None:
+        domain_order = domain_reading
+    if codomain_order is None:
+        codomain_order = codomain_reading
+    if domain_order._key != domain_reading._key:
+        raise OrderCellMismatch("domain order must list the cells of the source shape")
+    if codomain_order._key != codomain_reading._key:
+        raise OrderCellMismatch("codomain order must list the skew cells")
+    found = sorted(_picture_targets(domain_order, codomain_order))
+    sources = domain_reading._key
     return tuple([Picture._unchecked(tuple(zip(sources, targets))) for targets in found])
 
 
-def _picture_targets(mu: Partition | SkewShape, skew_shape: SkewShape,
-                     domain_order: TotalOrder | None = None,
-                     codomain_order: TotalOrder | None = None) -> Iterator[tuple[Cell, ...]]:
-    """enumerate_pictures' search: it checks its arguments as it starts, then
-    yields each picture's targets, the images of mu's cells in row-major order.
+def _picture_targets(domain_order: TotalOrder,
+                     codomain_order: TotalOrder) -> Iterator[tuple[Cell, ...]]:
+    """enumerate_pictures' search on two listings of equally many cells: it yields
+    each picture's targets, the images of the domain's cells in row-major order.
 
     Sources are placed in domain-listing order; an image must follow the
     images of the placed neighbours above and left, precede those below
@@ -461,19 +472,6 @@ def _picture_targets(mu: Partition | SkewShape, skew_shape: SkewShape,
     cut loses no picture, and it stops a level at the first q with too
     few above, since that number only falls as q grows.
     """
-    domain_reading, codomain_reading = _row_reading(mu), _row_reading(skew_shape)
-    if len(domain_reading) != len(codomain_reading):
-        raise SizeMismatch(
-            f"{len(domain_reading)} source cells vs {len(codomain_reading)} target cells")
-    if domain_order is None:
-        domain_order = domain_reading
-    if codomain_order is None:
-        codomain_order = codomain_reading
-    if domain_order._key != domain_reading._key:
-        raise OrderCellMismatch("domain order must list the cells of the source shape")
-    if codomain_order._key != codomain_reading._key:
-        raise OrderCellMismatch("codomain order must list the skew cells")
-
     source_positions = domain_order._key_positions
     listing = codomain_order.cells
     n = len(listing)

@@ -107,7 +107,7 @@ def test_order_labels_match_the_reference_on_every_cell_set_up_to_six_cells():
     for cell_set in cell_sets:
         for order in enumerate_admissible_orders(cell_set):
             assert cli._order_tags(order.cells, cell_set) == _reference_tags(order, cell_set)
-            assert cli._order_label(order.cells, cell_set) == _reference_label(order, cell_set)
+            assert cli._order_labels(cell_set)[order.cells] == _reference_label(order, cell_set)
 
 
 def test_conjecture_text_matches_rows_rendered_through_the_reference(capsys):
@@ -137,12 +137,12 @@ def test_named_orders_are_resolved_once_per_name_and_cell_set():
 
 
 def test_orders_builds_no_index_map(capsys):
-    for cache in (cli._order_indices, cli._order_label, cli.resolve_order):
+    for cache in (cli._order_labels, cli.resolve_order):
         cache.cache_clear()
     assert cli.run(["orders", "--mu", "3,3"]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[0].endswith("[jay]") and out.endswith("total=5\n")
-    assert cli._order_indices.cache_info().currsize == 0
+    assert cli._order_labels.cache_info().currsize == 0
     # the conjecture verb labels its orders by index, so it builds the map
     assert cli.run(["conjecture", "--lambda", "-", "--mu", "3,3", "--nu", "3,3"]) == 0
-    assert cli._order_indices.cache_info().currsize == 1
+    assert cli._order_labels.cache_info().currsize == 1

@@ -615,7 +615,7 @@ def _checked_pictures(targets, inst):
 
 def test_enumerate_pictures_is_the_sorted_stream_under_the_row_readings():
     for inst in iter_instances(8):
-        stream = list(_picture_targets(inst.mu, inst.skew_shape))
+        stream = list(_picture_targets(*inst._row_readings))
         assert len(set(stream)) == len(stream)
         assert enumerate_pictures(inst.mu, inst.skew_shape) == _checked_pictures(stream, inst)
 
@@ -624,7 +624,7 @@ def test_enumerate_pictures_is_the_sorted_stream_under_every_order_pair():
     for inst in iter_instances(6):
         for codomain in enumerate_admissible_orders(inst.skew_shape.cells()):
             for domain in enumerate_admissible_orders(cells(inst.mu)):
-                stream = list(_picture_targets(inst.mu, inst.skew_shape, domain, codomain))
+                stream = list(_picture_targets(domain, codomain))
                 assert len(set(stream)) == len(stream)
                 assert (enumerate_pictures(inst.mu, inst.skew_shape, domain, codomain)
                         == _checked_pictures(stream, inst))

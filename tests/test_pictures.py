@@ -5,7 +5,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lrpictures import pictures
-from lrpictures.lr import LRInstance, lr_coefficient_lattice, lr_filter, phi
+from lrpictures.lr import (LRInstance, conjecture_experiment, lr_coefficient_lattice,
+                           lr_filter, phi)
 from lrpictures.pictures import (OrderCellMismatch, Picture, SizeMismatch,
                                  TotalOrder, _direct_predecessors,
                                  enumerate_admissible_orders,
@@ -359,17 +360,54 @@ def test_enumerate_pictures_on_the_reference_instance():
 
 
 def test_enumerate_pictures_size_mismatch():
-    with pytest.raises(SizeMismatch):
-        enumerate_pictures(Partition((2, 1)),
-                           skew(Partition((3, 2, 1)), Partition((1, 1))))
+    mu, skew_shape = Partition((2, 1)), skew(Partition((3, 2, 1)), Partition((1, 1)))
+    with pytest.raises(SizeMismatch, match=r"^3 source cells vs 4 target cells$"):
+        enumerate_pictures(mu, skew_shape)
+    # the sizes are checked before either order's cells
+    foreign = TotalOrder.jay(cells(Partition((5,))))
+    with pytest.raises(SizeMismatch, match=r"^3 source cells vs 4 target cells$"):
+        enumerate_pictures(mu, skew_shape, foreign, foreign)
 
 
 def test_enumerate_pictures_order_cell_mismatch():
     wrong = TotalOrder.jay(cells(Partition((2, 2))))
-    with pytest.raises(OrderCellMismatch):
+    domain_message = r"^domain order must list the cells of the source shape$"
+    codomain_message = r"^codomain order must list the skew cells$"
+    with pytest.raises(OrderCellMismatch, match=domain_message):
         enumerate_pictures(REF_MU, REF_SKEW, domain_order=wrong)
-    with pytest.raises(OrderCellMismatch):
+    with pytest.raises(OrderCellMismatch, match=codomain_message):
         enumerate_pictures(REF_MU, REF_SKEW, codomain_order=wrong)
+    # the domain is checked before the codomain
+    with pytest.raises(OrderCellMismatch, match=domain_message):
+        enumerate_pictures(REF_MU, REF_SKEW, wrong, wrong)
+
+
+SMALL = LRInstance(Partition((2, 1)), Partition((2, 1)), Partition((3, 2, 1)))
+SMALL_DOMAIN = TotalOrder.jay(cells(SMALL.mu))
+SMALL_CODOMAIN = TotalOrder.jay(SMALL.skew_shape.cells())
+
+
+def test_conjecture_experiment_refuses_a_foreign_codomain_listing():
+    foreign = TotalOrder.jay(cells(Partition((3,))))
+    with pytest.raises(OrderCellMismatch, match=r"^codomain order must list the skew cells$"):
+        conjecture_experiment(SMALL, foreign, SMALL_DOMAIN)
+
+
+def test_conjecture_experiment_checks_the_domain_listing_first():
+    foreign_domain = TotalOrder.jay(cells(Partition((1, 1, 1))))
+    message = (r"^order lists \[\(1, 1\), \(2, 1\), \(3, 1\)\], "
+               r"shape has \[\(1, 1\), \(1, 2\), \(2, 1\)\]$")
+    for codomain in (SMALL_CODOMAIN, TotalOrder.jay(cells(Partition((3,))))):
+        with pytest.raises(OrderCellMismatch, match=message):
+            conjecture_experiment(SMALL, codomain, foreign_domain)
+
+
+def test_conjecture_experiment_reports_a_codomain_listing_that_is_not_admissible():
+    reversed_reading = TotalOrder(SMALL_CODOMAIN.cells[::-1])
+    assert not reversed_reading.admissible
+    row = conjecture_experiment(SMALL, reversed_reading, SMALL_DOMAIN)
+    assert (row.crystals, row.pictures) == (2, 2)
+    assert not row.holds
 
 
 def test_single_picture_instances():

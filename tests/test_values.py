@@ -352,9 +352,35 @@ def test_no_search_path_hashes_or_compares_a_value(monkeypatch):
     assert calls == Counter()
 
 
+def test_no_check_path_builds_a_skew_shape(monkeypatch):
+    built = Counter()
+    real_init, real_unchecked = SkewShape.__init__, Value._unchecked.__func__
+
+    def init(self, *args):
+        built["__init__"] += 1
+        real_init(self, *args)
+
+    def unchecked(cls, *args):
+        if cls is SkewShape:
+            built["_unchecked"] += 1
+        return real_unchecked(cls, *args)
+
+    monkeypatch.setattr(SkewShape, "__init__", init)
+    monkeypatch.setattr(Value, "_unchecked", classmethod(unchecked))
+    # the searches run on the instance's row readings, read from part tuples
+    for inst in iter_instances(6):
+        assert verify_bijection(inst).ok
+        lr_coefficient_all_methods(inst)
+        assert all(row.holds for row in conjecture_rows(inst))
+    assert not built
+    # the counters do see the skew shape an instance still offers
+    assert LRInstance(LAM, MU, NU).skew_shape == SkewShape(NU, LAM)
+    assert built == {"__init__": 2}
+
+
 def test_the_conjecture_verb_hashes_or_compares_no_value(monkeypatch, capsys):
     # the order labels are cached on listings; empty caches build every label here
-    for cache in (cli._order_indices, cli._order_label, cli.resolve_order):
+    for cache in (cli._order_labels, cli.resolve_order):
         cache.cache_clear()
     calls = _count_value_calls(monkeypatch)
     assert cli.run(["conjecture", "--max-size", "5"]) == 0
